@@ -144,9 +144,7 @@ def dense_oracle(g: Graph, alpha: float | None = None) -> ScoreVector:
     if alpha is None:
         alpha = default_alpha(g)
     validate_alpha(alpha, g.max_out_degree())
-    A = np.zeros((n, n), dtype=np.float64)
-    for u, v in g.arcs():
-        A[u, v] = 1.0
+    A = g.out_csr().toarray()
     try:
         z = np.linalg.solve(np.eye(n) - alpha * A, np.ones(n))
     except np.linalg.LinAlgError as exc:

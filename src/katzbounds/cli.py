@@ -347,43 +347,24 @@ def cmd_compare(args) -> int:
 
 
 def concordant_fraction(order_a, order_b) -> float:
-    """Fraction of node pairs ordered the same way by both rankings."""
+    """Fraction of node pairs ordered the same way by both rankings.
+
+    For permutations this is (1 + Kendall's tau) / 2. The discordant
+    pair count is recovered as an integer first, so that identical and
+    reversed orders give exactly 1.0 and 0.0.
+    """
+    # Imported here: scipy.stats adds about 50 MB to every process that
+    # loads it, and only compare needs it.
+    from scipy import stats
+
     n = len(order_a)
     if n < 2:
         return 1.0
     pos = np.empty(n, dtype=np.int64)
     pos[np.asarray(order_a)] = np.arange(n)
-    seq = pos[np.asarray(order_b)]
-    inversions = _count_inversions(list(seq))
+    tau = stats.kendalltau(np.arange(n), pos[np.asarray(order_b)]).statistic
     total = n * (n - 1) // 2
-    return 1.0 - inversions / total
-
-
-def _count_inversions(seq: list[int]) -> int:
-    """Merge-sort inversion count, iterative to spare the stack."""
-    width = 1
-    n = len(seq)
-    count = 0
-    src = list(seq)
-    buf = [0] * n
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if src[i] <= src[j]:
-                    buf[k] = src[i]
-                    i += 1
-                else:
-                    buf[k] = src[j]
-                    j += 1
-                    count += mid - i
-                k += 1
-            buf[k:hi] = src[i:mid] if i < mid else src[j:hi]
-        src, buf = buf, src
-        width *= 2
-    return count
+    return 1.0 - round((1.0 - tau) * total / 2) / total
 
 
 def cmd_gen(args) -> int:

@@ -8,21 +8,23 @@ one reverse step per level, which keeps small updates local. When it
 stops being local (more than a theta fraction of all nodes), the engine
 falls back to recomputing whole levels.
 
-The update runs against the deletion-applied graph; inserted arcs are
-accounted for explicitly per level and only joined into the graph at the
-end, after bounds are refreshed and previously deactivated nodes that
-could now contend again are reactivated.
+Every level is corrected against the pre-batch graph, with the batch's
+arcs accounted for explicitly: an inserted arc adds its target's
+corrected weight to the source, a deleted arc takes it away again. The
+graph changes once, after bounds are refreshed and previously
+deactivated nodes that could now contend again are reactivated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .engine import (RANKING, TOPK, KatzState, check_converged, iterate_once,
                      tail_gamma)
 from .errors import ConvergenceError, ParameterError, ParseError, StateError
-from .graph import EdgeBatch, Graph
+from .graph import EdgeBatch, Graph, arc_array
 
 
 @dataclass
@@ -42,85 +44,73 @@ class UpdateStats:
 class UpdateWorkspace:
     """Scratch carried across the per-level correction passes.
 
-    `affected` is the growing set of nodes whose walk weights may have
-    changed; `old_prev` maps nodes to their pre-update weight at the
-    previous level (needed because weights are corrected in place).
+    `affected` marks the nodes whose walk weights may have changed;
+    `frontier` lists the nodes touched at the previous level and
+    `old_prev` their weights there before the update (needed because
+    weights are corrected in place). `insertions` and `deletions` are
+    the batch as (k, 2) arrays, `reverse` the pre-batch in-adjacency.
     """
 
-    affected: set[int]
-    targets: set[int]
+    affected: np.ndarray
     theta: float
-    old_prev: dict[int, float] = field(default_factory=dict)
+    insertions: np.ndarray
+    deletions: np.ndarray
+    reverse: sparse.csr_matrix
+    frontier: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    old_prev: np.ndarray = field(default_factory=lambda: np.empty(0))
     aborted: bool = False
     stats: UpdateStats = field(default_factory=UpdateStats)
 
 
 def bfs_abort_threshold(state: KatzState, ws: UpdateWorkspace) -> bool:
     """True once the affected set outgrew theta * node_count."""
-    return len(ws.affected) > ws.theta * state.n
+    return np.count_nonzero(ws.affected) > ws.theta * state.n
 
 
 def update_level(state: KatzState, ws: UpdateWorkspace, g: Graph,
-                 batch: EdgeBatch, level: int) -> None:
+                 level: int) -> None:
     """Correct walk level `level` in place after the batch.
 
-    Expects levels 1..level-1 already corrected and g reflecting the
-    deletions but not yet the insertions. In local mode each node whose
-    previous-level weight changed pushes alpha times its delta to every
-    in-neighbor; inserted and deleted arcs contribute their endpoint's
-    new (respectively old) previous-level weight directly. Past the
-    abort threshold the whole level is recomputed instead.
+    Expects levels 1..level-1 already corrected and g still the pre-batch
+    graph. In local mode the nodes whose previous-level weight changed
+    push alpha times their delta to all their in-neighbors at once;
+    inserted arcs then add, and deleted arcs subtract, their target's
+    corrected previous-level weight. Past the abort threshold the whole
+    level is recomputed instead.
     """
     alpha = state.alpha
     w_prev = state.levels[level - 1]
     w_cur = state.levels[level]
+    ins, dels = ws.insertions, ws.deletions
 
     if ws.aborted or bfs_abort_threshold(state, ws):
         if not ws.aborted:
             ws.aborted = True
             ws.stats.aborted_level = level
         new = alpha * state._matvec(g, w_prev)
-        for s, t in batch.insertions:
-            new[s] += alpha * w_prev[t]
+        np.add.at(new, ins[:, 0], alpha * w_prev[ins[:, 1]])
+        np.subtract.at(new, dels[:, 0], alpha * w_prev[dels[:, 1]])
         state.katz += new - w_cur
         state.levels[level] = new
-        ws.old_prev = {}
         return
 
-    ws.stats.level_sizes.append(len(ws.affected))
-    old_cur: dict[int, float] = {}
-
-    # Propagate previous-level deltas one reverse step.
-    for v in list(ws.affected):
-        old = ws.old_prev.get(v)
-        if old is None or old == w_prev[v]:
-            continue
-        push = alpha * (w_prev[v] - old)
-        for w in g.in_neighbors(v):
-            ws.affected.add(w)
-            if w not in old_cur:
-                old_cur[w] = float(w_cur[w])
-            w_cur[w] += push
-
-    # Arcs entering the graph contribute their target's corrected weight;
-    # arcs that left subtract the weight the target used to have.
-    for s, t in batch.insertions:
-        if s not in old_cur:
-            old_cur[s] = float(w_cur[s])
-        w_cur[s] += alpha * w_prev[t]
-    for s, t in batch.deletions:
-        base = ws.old_prev.get(t)
-        if base is None:
-            base = float(w_prev[t])
-        if s not in old_cur:
-            old_cur[s] = float(w_cur[s])
-        w_cur[s] -= alpha * base
-
+    ws.stats.level_sizes.append(int(np.count_nonzero(ws.affected)))
+    delta = w_prev[ws.frontier] - ws.old_prev
+    moved = delta != 0
+    rows = ws.reverse[ws.frontier[moved]]
+    ws.affected[rows.indices] = True
+    mark = np.zeros(state.n, dtype=bool)
+    mark[rows.indices] = mark[ins[:, 0]] = mark[dels[:, 0]] = True
+    touched = np.flatnonzero(mark)
+    old_cur = w_cur[touched]
+    np.add.at(w_cur, rows.indices,
+              np.repeat(alpha * delta[moved], np.diff(rows.indptr)))
+    np.add.at(w_cur, ins[:, 0], alpha * w_prev[ins[:, 1]])
+    np.subtract.at(w_cur, dels[:, 0], alpha * w_prev[dels[:, 1]])
     # Fold the level deltas into the running partial sums.
-    for w, old in old_cur.items():
-        state.katz[w] += w_cur[w] - old
-
-    ws.old_prev = old_cur
+    state.katz[touched] += w_cur[touched] - old_cur
+    ws.frontier, ws.old_prev = touched, old_cur
 
 
 def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
@@ -128,11 +118,12 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     """Apply an arc batch to g and bring the state back to convergence.
 
     Validates everything (batch preconditions, post-update admissibility
-    of alpha) before touching graph or state, then: deletions, per-level
-    corrections, bound refresh under the new tail factor, reactivation of
-    nodes that may contend again, insertions, and finally ordinary
-    iterations until the stopping rule holds once more. Instrumentation
-    lands in state.last_update_stats.
+    of alpha) before touching graph or state, then: per-level corrections
+    on the pre-batch graph, bound refresh under the new tail factor,
+    reactivation of nodes that may contend again, the batch applied to g
+    (one version bump), and finally ordinary iterations until the
+    stopping rule holds once more. Instrumentation lands in
+    state.last_update_stats.
     """
     if not state.params.keep_all_levels:
         raise StateError("dynamic updates need keep_all_levels=True")
@@ -147,13 +138,12 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
         raise ParameterError(
             "state is in undirected mode; batch must contain both "
             "directions of every edge")
+    ins, dels = arc_array(batch.insertions), arc_array(batch.deletions)
 
     # Admission check on the post-update degrees, before any mutation.
     degs = g.out_degrees()
-    for s, _ in batch.deletions:
-        degs[s] -= 1
-    for s, _ in batch.insertions:
-        degs[s] += 1
+    np.subtract.at(degs, dels[:, 0], 1)
+    np.add.at(degs, ins[:, 0], 1)
     new_max = int(degs.max()) if state.n else 0
     if new_max > 0 and state.alpha >= 1.0 / new_max:
         raise ParameterError(
@@ -161,19 +151,17 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
             f"would leave the walk series divergent")
 
     stats = UpdateStats(batch_size=len(batch))
-    seeds = {s for s, _ in batch.insertions} | {s for s, _ in batch.deletions}
-    targets = {t for _, t in batch.insertions} | {t for _, t in batch.deletions}
-    stats.seeds = len(seeds)
-    ws = UpdateWorkspace(affected=set(seeds), targets=targets, theta=theta,
-                         stats=stats)
-
-    g.remove_arcs(batch.deletions)
-    state.graph_version = g.version
-    state._chunk_cache = None
-
+    affected = np.zeros(state.n, dtype=bool)
+    affected[ins[:, 0]] = affected[dels[:, 0]] = True
+    stats.seeds = int(np.count_nonzero(affected))
+    # Undirected states live on symmetric graphs: in-arcs are out-arcs.
+    reverse = g.out_csr() if state.undirected else g.in_csr()
+    ws = UpdateWorkspace(affected=affected, theta=theta, insertions=ins,
+                         deletions=dels, reverse=reverse, stats=stats)
     for level in range(1, state.r + 1):
-        update_level(state, ws, g, batch, level)
-    stats.visited = len(ws.affected | ws.targets)
+        update_level(state, ws, g, level)
+    affected[ins[:, 1]] = affected[dels[:, 1]] = True
+    stats.visited = int(np.count_nonzero(affected))
 
     # Refresh bounds everywhere under the post-update tail factor. Values
     # of untouched nodes are reproduced bit for bit, so this equals the
@@ -189,16 +177,15 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     # Nodes written off earlier may contend again after the update.
     if state.criterion.kind in (RANKING, TOPK) and state.active.size < state.n:
         floor = float(np.min(state.lower[state.active])) - state.epsilon
-        inactive = np.setdiff1d(np.arange(state.n, dtype=np.int64),
-                                state.active, assume_unique=False)
-        back = inactive[state.upper[inactive] >= floor]
+        inactive = np.ones(state.n, dtype=bool)
+        inactive[state.active] = False
+        back = np.flatnonzero(inactive & (state.upper >= floor))
         if back.size:
             state.active = np.concatenate([state.active, back])
             stats.reactivated = int(back.size)
 
-    g.insert_arcs(batch.insertions)
+    g.apply_batch(batch)
     state.graph_version = g.version
-    state._chunk_cache = None
 
     while not check_converged(state):
         if state.r >= state.max_iterations:

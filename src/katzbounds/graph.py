@@ -1,14 +1,28 @@
-"""Directed graph with batch mutation and a cached sparse adjacency view.
+"""Directed graph held in flat arrays, with batch mutation.
 
 The node universe is fixed at construction; arcs form a set (no parallel
-arcs, self-loops permitted). Both directions are queryable in O(1) per
-membership test and O(deg) per neighbor scan. Mutation happens through
-validated arc batches; a compressed row snapshot for the numeric kernels
-is rebuilt lazily whenever the arc set has changed.
+arcs, self-loops permitted). The arc set is stored once, in one canonical
+order, in two aligned forms: sorted int64 keys u*n+v, which answer
+membership and batch validation by binary search, and the compressed-row
+0/1 matrix (CSR: `indptr`, int32 `indices`, float64 ones) that the
+numeric kernels multiply with. Degrees, the maximum out-degree, `arcs()`
+and the symmetry test are derived from these arrays; the transposed
+matrix is built only when in-neighbors are asked for. A mutation
+validates its whole batch, then rebuilds the arrays once and bumps the
+version once.
+
+Memory is about 20 bytes per arc (key, index, value) plus 4-8 bytes per
+node, against roughly 140 bytes per arc for Python sets.
+
+Edge lists are tokenized with numpy, a block of whole lines at a time.
+Input the fast path cannot vouch for is re-read line by line, which
+reports the exact line of the first error; either way the graph is built
+by the same array code.
 """
 from __future__ import annotations
 
 import io
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,42 +91,55 @@ def _first_duplicate(arcs: Sequence[Arc]) -> Arc:
     return arcs[0]
 
 
+def arc_array(arcs: Iterable[Arc]) -> np.ndarray:
+    """(k, 2) integer array of (source, target) rows; arrays pass as is."""
+    if not isinstance(arcs, np.ndarray):
+        arcs = np.fromiter(itertools.chain.from_iterable(arcs), dtype=np.int64)
+    return arcs.reshape(-1, 2)
+
+
+def _arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    return src.astype(np.int64) * n + dst
+
+
 class Graph:
     """Mutable directed graph over the fixed universe 0..node_count-1."""
 
-    __slots__ = ("_n", "_out", "_in", "_arc_count", "_version",
-                 "_max_out", "_max_dirty", "_csr", "_csr_version")
+    __slots__ = ("_n", "_keys", "_csr", "_in_csr", "_symmetric", "_max_out",
+                 "_version")
 
     def __init__(self, node_count: int):
         if node_count < 0:
             raise NodeRangeError(f"node_count must be >= 0, got {node_count}")
         self._n = int(node_count)
-        self._out: list[set[int]] = [set() for _ in range(self._n)]
-        self._in: list[set[int]] = [set() for _ in range(self._n)]
-        self._arc_count = 0
-        self._version = 0
-        self._max_out = 0
-        self._max_dirty = False
-        self._csr = None
-        self._csr_version = -1
+        self._version = -1
+        self._set_keys(np.empty(0, dtype=np.int64))
 
     # ---- construction helpers ----
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[Arc],
                    undirected: bool = False) -> "Graph":
-        """Build a graph from (u, v) pairs; duplicates collapse.
+        """Build a graph from (u, v) pairs or a (k, 2) array; duplicates
+        collapse.
 
         With undirected=True every pair contributes both arc directions.
         """
         g = cls(node_count)
-        for u, v in edges:
-            g._check_node(u)
-            g._check_node(v)
-            g._add_arc(u, v)
-            if undirected:
-                g._add_arc(v, u)
-        g._version += 1
+        pairs = arc_array(edges)
+        bad = (pairs < 0) | (pairs >= g._n)
+        if bad.any():
+            g._check_node(int(pairs.ravel()[np.argmax(bad.ravel())]))
+        src, dst = pairs[:, 0], pairs[:, 1]
+        keys = _arc_keys(src, dst, g._n)
+        if undirected:
+            keys = np.concatenate([keys, _arc_keys(dst, src, g._n)])
+        keys.sort()
+        unique = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=unique[1:])
+        g._set_keys(keys[unique])
+        if undirected:
+            g._symmetric = True
         return g
 
     # ---- read access ----
@@ -123,7 +150,7 @@ class Graph:
 
     @property
     def arc_count(self) -> int:
-        return self._arc_count
+        return int(self._keys.size)
 
     @property
     def version(self) -> int:
@@ -133,126 +160,127 @@ class Graph:
     def has_arc(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._out[u]
+        return bool(self._contains(np.array([u * self._n + v]))[0])
 
     def out_neighbors(self, v: int) -> Iterator[int]:
-        self._check_node(v)
-        return iter(self._out[v])
+        return iter(self._row(self._csr, v).tolist())
 
     def in_neighbors(self, v: int) -> Iterator[int]:
-        self._check_node(v)
-        return iter(self._in[v])
+        return iter(self._row(self.in_csr(), v).tolist())
 
     def out_degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self._out[v])
+        return int(self._row(self._csr, v).size)
 
     def in_degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self._in[v])
+        return int(self._row(self.in_csr(), v).size)
 
     def max_out_degree(self) -> int:
-        if self._max_dirty:
-            self._max_out = max((len(s) for s in self._out), default=0)
-            self._max_dirty = False
         return self._max_out
 
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(s) for s in self._out], dtype=np.int64)
+        return np.diff(self._csr.indptr).astype(np.int64)
 
     def arcs(self) -> Iterator[Arc]:
-        for u in range(self._n):
-            for v in self._out[u]:
-                yield (u, v)
+        """All arcs, ordered by source, then target."""
+        n = max(self._n, 1)
+        return zip((self._keys // n).tolist(), (self._keys % n).tolist())
 
     def is_symmetric(self) -> bool:
-        """True when the arc set is closed under reversal."""
-        for u in range(self._n):
-            onbrs = self._out[u]
-            for v in onbrs:
-                if u not in self._out[v]:
-                    return False
-        return True
+        """True when the arc set is closed under reversal (cached)."""
+        if self._symmetric is None:
+            n, keys = max(self._n, 1), self._keys
+            self._symmetric = bool(
+                np.array_equal(np.sort(keys % n * n + keys // n), keys))
+        return self._symmetric
 
     def out_csr(self) -> sparse.csr_matrix:
-        """Row-per-source 0/1 adjacency snapshot, columns sorted.
+        """Row-per-source 0/1 adjacency, columns sorted.
 
-        Cached per graph version, so the cost of a rebuild is only paid
-        after mutation. Row order is canonical: two graphs with equal arc
-        sets produce bitwise-identical matrices.
+        This is the stored matrix, the same object until the version
+        changes; callers must not modify it. Two graphs with equal arc
+        sets hold bitwise-identical matrices.
         """
-        if self._csr is None or self._csr_version != self._version:
-            indptr = np.zeros(self._n + 1, dtype=np.int64)
-            for v in range(self._n):
-                indptr[v + 1] = indptr[v] + len(self._out[v])
-            indices = np.empty(int(indptr[-1]), dtype=np.int32)
-            for v in range(self._n):
-                lo = int(indptr[v])
-                nbrs = sorted(self._out[v])
-                indices[lo:lo + len(nbrs)] = nbrs
-            data = np.ones(len(indices), dtype=np.float64)
-            self._csr = sparse.csr_matrix((data, indices, indptr),
-                                          shape=(self._n, self._n))
-            self._csr_version = self._version
         return self._csr
+
+    def in_csr(self) -> sparse.csr_matrix:
+        """Row-per-target transpose of out_csr(), built on first use."""
+        if self._in_csr is None:
+            self._in_csr = self._csr.T.tocsr()
+        return self._in_csr
 
     # ---- mutation ----
 
     def apply_batch(self, batch: EdgeBatch) -> None:
         """Atomically delete then insert; validates everything first."""
         self.validate_batch(batch)
-        self.remove_arcs(batch.deletions, _validated=True)
-        self.insert_arcs(batch.insertions, _validated=True)
+        keys = self._keys
+        if batch.deletions:
+            dels = arc_array(batch.deletions)
+            keys = np.delete(keys, np.searchsorted(
+                keys, _arc_keys(dels[:, 0], dels[:, 1], self._n)))
+        if batch.insertions:
+            ins = arc_array(batch.insertions)
+            new = np.sort(_arc_keys(ins[:, 0], ins[:, 1], self._n))
+            keys = np.insert(keys, np.searchsorted(keys, new), new)
+        self._set_keys(keys)
 
     def validate_batch(self, batch: EdgeBatch) -> None:
+        """Raise for the first arc, insertions first, that is out of
+        range, inserted while present or deleted while absent."""
         batch.validate_shape()
-        for u, v in batch.insertions:
-            self._check_node(u)
-            self._check_node(v)
-            if v in self._out[u]:
+        n = self._n
+        for arcs, present, verb, why in (
+                (batch.insertions, False, "insert", "already present"),
+                (batch.deletions, True, "delete", "not present")):
+            ok = np.array([0 <= u < n and 0 <= v < n for u, v in arcs],
+                          dtype=bool)
+            keys = np.array([u * n + v if k else -1
+                             for (u, v), k in zip(arcs, ok)], dtype=np.int64)
+            ok &= self._contains(keys) == present
+            if not ok.all():
+                u, v = arcs[int(np.argmin(ok))]
+                self._check_node(u)
+                self._check_node(v)
                 raise BatchPreconditionError(
-                    f"cannot insert arc ({u}, {v}): already present")
-        for u, v in batch.deletions:
-            self._check_node(u)
-            self._check_node(v)
-            if v not in self._out[u]:
-                raise BatchPreconditionError(
-                    f"cannot delete arc ({u}, {v}): not present")
+                    f"cannot {verb} arc ({u}, {v}): {why}")
 
-    def insert_arcs(self, arcs: Sequence[Arc], _validated: bool = False) -> None:
-        if not _validated:
-            self.validate_batch(EdgeBatch(insertions=list(arcs)))
-        for u, v in arcs:
-            self._add_arc(u, v)
-        self._version += 1
+    def insert_arcs(self, arcs: Sequence[Arc]) -> None:
+        self.apply_batch(EdgeBatch(insertions=list(arcs)))
 
-    def remove_arcs(self, arcs: Sequence[Arc], _validated: bool = False) -> None:
-        if not _validated:
-            self.validate_batch(EdgeBatch(deletions=list(arcs)))
-        for u, v in arcs:
-            self._out[u].discard(v)
-            self._in[v].discard(u)
-            self._arc_count -= 1
-        self._max_dirty = True
-        self._version += 1
+    def remove_arcs(self, arcs: Sequence[Arc]) -> None:
+        self.apply_batch(EdgeBatch(deletions=list(arcs)))
 
     # ---- internals ----
 
-    def _add_arc(self, u: int, v: int) -> None:
-        if v not in self._out[u]:
-            self._out[u].add(v)
-            self._in[v].add(u)
-            self._arc_count += 1
-            if len(self._out[u]) > self._max_out and not self._max_dirty:
-                self._max_out = len(self._out[u])
+    def _set_keys(self, keys: np.ndarray) -> None:
+        """Install a sorted, duplicate-free key array and rebuild from it."""
+        n = self._n
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        indices = (keys % max(n, 1)).astype(np.int32)
+        self._keys = keys
+        self._csr = sparse.csr_matrix(
+            (np.ones(keys.size), indices, indptr), shape=(n, n))
+        self._max_out = int(np.diff(indptr).max()) if n else 0
+        self._in_csr = self._symmetric = None
+        self._version += 1
+
+    def _contains(self, keys: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self._keys, keys)
+        hit = pos < self._keys.size
+        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        return hit
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise NodeRangeError(
                 f"node id {v} outside universe [0, {self._n})")
 
+    def _row(self, A: sparse.csr_matrix, v: int) -> np.ndarray:
+        self._check_node(v)
+        return A.indices[A.indptr[v]:A.indptr[v + 1]]
+
     def __repr__(self) -> str:
-        return f"Graph(nodes={self._n}, arcs={self._arc_count})"
+        return f"Graph(nodes={self._n}, arcs={self.arc_count})"
 
 
 # ---- edge list ingestion ----
@@ -273,10 +301,115 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
         with open(source, "rb") as fh:
             return load_edge_list(fh, undirected=undirected)
 
+    text = source.read()
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) \
+        else text
+    parsed = _tokenize(data)
+    if parsed is None:
+        parsed = _parse_lines(
+            io.StringIO(text) if isinstance(text, str) else io.BytesIO(data))
+    del text, data  # lowers the build's peak memory
+    declared, pairs, lines_read = parsed
+    max_id = int(pairs.max()) if pairs.size else -1
+    node_count = declared if declared is not None else max_id + 1
+    if max_id >= node_count:
+        raise NodeRangeError(
+            f"node id {max_id} exceeds declared universe of {node_count}")
+    self_loops = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
+    g = Graph.from_edges(node_count, pairs, undirected=undirected)
+    log.info("loaded edge list: %d lines, %d nodes, %d arcs, %d self-loops",
+             lines_read, node_count, g.arc_count, self_loops)
+    return g
+
+
+# Byte classes for the fast tokenizer: 0 whitespace, 1 digit, 2 other.
+_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\r\x0b\x0c")] = 0
+_BYTE_CLASS[list(b"0123456789")] = 1
+
+# The tokenizer works through the text in blocks of whole lines of about
+# this many bytes, which bounds its scratch memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _tokenize(data: bytes):
+    """Vectorized parse of a plainly well-formed edge list.
+
+    Returns (declared node count or None, (k, 2) int32 arcs, lines read),
+    or None when anything is off: a malformed header, a non-digit outside
+    comments, a line without exactly two ids, an id of more than ten
+    digits or above MAX_NODE_ID, or invalid UTF-8. _parse_lines then
+    decides, and reports any error with its line.
+    """
+    declared, offset, start = None, 0, 0
+    for line in io.BytesIO(data):  # up to the first non-comment line
+        offset += len(line)
+        parts = line.split()
+        if not parts or parts[0][:1] in (b"#", b"%"):
+            continue
+        if parts[0].upper() == b"NODES":
+            if len(parts) != 2 or not parts[1].isdigit() or \
+                    len(parts[1]) > 10 or int(parts[1]) > MAX_NODE_ID:
+                return None
+            declared, start = int(parts[1]), offset
+        break
+    blocks = [np.empty(0, dtype=np.int32)]
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        blocks.append(_tokenize_block(data[start:end]))
+        if blocks[-1] is None:
+            return None
+        start = end
+    lines_read = data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
+    return declared, np.concatenate(blocks).reshape(-1, 2), lines_read
+
+
+def _tokenize_block(data: bytes):
+    """The ids on a block of whole arc and comment lines, as int32 in
+    file order, or None."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    cls = _BYTE_CLASS[b]
+    solid = np.zeros(b.size + 2, dtype=bool)
+    np.not_equal(cls, 0, out=solid[1:-1])
+    bounds = np.flatnonzero(solid[1:] != solid[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    first = np.ones(starts.size, dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    lead = b[starts[first]]
+    keep = ~((lead == ord("#")) | (lead == ord("%")))[np.cumsum(first) - 1]
+
+    odd = np.flatnonzero(cls == 2)
+    if keep[np.searchsorted(starts, odd, side="right") - 1].any():
+        return None
+    if (b[odd] >= 128).any():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+
+    ends, width, line = ends[keep], (ends - starts)[keep], line[keep]
+    if ends.size % 2 or np.any(line[0::2] != line[1::2]) or \
+            np.any(line[2::2] <= line[1:-1:2]):
+        return None
+    digits = int(width.max()) if width.size else 0
+    if digits > 10:
+        return None
+    # Digit k from the right; reads left of a shorter token are masked.
+    values = np.zeros(ends.size, dtype=np.int64)
+    for k in range(digits):
+        digit = b[ends - 1 - k] - np.int64(ord("0"))
+        digit[width <= k] = 0
+        values += digit * 10**k
+    if values.size and values.max() > MAX_NODE_ID:
+        return None
+    return values.astype(np.int32)
+
+
+def _parse_lines(source):
+    """Line-by-line parse with exact error lines; same result as _tokenize."""
     declared: int | None = None
     edges: list[Arc] = []
-    max_id = -1
-    self_loops = 0
     lines_read = 0
     header_allowed = True
 
@@ -303,21 +436,9 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
         if len(parts) != 2:
             raise ParseError(
                 f"expected two node ids, got {len(parts)} fields", lineno)
-        u = _parse_id(parts[0], lineno)
-        v = _parse_id(parts[1], lineno)
-        if u == v:
-            self_loops += 1
-        max_id = max(max_id, u, v)
-        edges.append((u, v))
-
-    node_count = declared if declared is not None else max_id + 1
-    if max_id >= node_count:
-        raise NodeRangeError(
-            f"node id {max_id} exceeds declared universe of {node_count}")
-    g = Graph.from_edges(node_count, edges, undirected=undirected)
-    log.info("loaded edge list: %d lines, %d nodes, %d arcs, %d self-loops",
-             lines_read, node_count, g.arc_count, self_loops)
-    return g
+        edges.append((_parse_id(parts[0], lineno),
+                      _parse_id(parts[1], lineno)))
+    return declared, arc_array(edges), lines_read
 
 
 def _parse_id(token: str, lineno: int) -> int:
@@ -335,8 +456,4 @@ def _parse_id(token: str, lineno: int) -> int:
 
 def dumps_edge_list(node_count: int, edges: Iterable[Arc]) -> str:
     """Serialize edges with an explicit NODES header (keeps isolated ids)."""
-    out = io.StringIO()
-    out.write(f"NODES {node_count}\n")
-    for u, v in edges:
-        out.write(f"{u} {v}\n")
-    return out.getvalue()
+    return f"NODES {node_count}\n" + "".join(f"{u} {v}\n" for u, v in edges)

@@ -2,18 +2,26 @@
 
 JSON output is deterministic: fields keep insertion order and floats are
 rendered with 17 significant digits, enough for an exact round-trip
-through any conforming parser. CSV output carries the per-node table.
+through any conforming parser; NaN and infinities, which JSON cannot
+express, are refused. A node table is written from a row template, byte
+for byte what the generic encoder gives. CSV output carries the per-node
+table.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 # Node tables beyond this many rows are truncated unless explicitly
 # requested in full.
 NODE_ROW_CAP = 10**6
 
+# The node table's columns, in row and CSV order.
 CSV_COLUMNS = ("node_id", "lower", "upper", "rank")
 
 
@@ -51,10 +59,12 @@ class RunReport:
 
 def node_rows(order, lower, upper, cap: int | None = NODE_ROW_CAP) -> list[dict]:
     """Per-node table rows in rank order, optionally truncated."""
-    ids = list(order if cap is None else order[:cap])
-    return [{"node_id": int(v), "lower": float(lower[v]),
-             "upper": float(upper[v]), "rank": rank + 1}
-            for rank, v in enumerate(ids)]
+    ids = np.asarray(order if cap is None else order[:cap], dtype=np.int64)
+    lows = np.asarray(lower, dtype=np.float64)[ids].tolist()
+    ups = np.asarray(upper, dtype=np.float64)[ids].tolist()
+    return [{"node_id": v, "lower": lo, "upper": up, "rank": rank}
+            for rank, (v, lo, up) in enumerate(zip(ids.tolist(), lows, ups),
+                                               start=1)]
 
 
 # ---- serialization ----
@@ -88,16 +98,63 @@ def _encode(value: Any, indent: int, depth: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        table = _encode_node_table(value, indent, depth)
+        if table is not None:
+            return table
         items = ",\n".join(
             f"{pad}{_encode(v, indent, depth + 1)}" for v in value)
         return "[\n" + items + "\n" + close_pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _encode_node_table(rows, indent: int, depth: int) -> str | None:
+    """Row-template encoding of a node table; None if `rows` is not one.
+
+    A node table is a list of plain {node_id: int, lower: float,
+    upper: float, rank: int} dicts; the text equals the generic
+    encoder's.
+    """
+    if set(map(type, rows)) != {dict} or \
+            set(map(tuple, rows)) != {CSV_COLUMNS}:
+        return None
+    ids, lower, upper, rank = ([r[c] for r in rows] for c in CSV_COLUMNS)
+    if set(map(type, ids + rank)) != {int} or \
+            set(map(type, lower + upper)) != {float}:
+        return None
+    k = len(rows)
+    floats = _format_floats(lower + upper)
+    pad = " " * (indent * (depth + 1))
+    inner = " " * (indent * (depth + 2))
+    template = pad + "{\n" + ",\n".join(
+        f"{inner}{json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n" + pad + "}"
+    body = ",\n".join([template] * k) % tuple(itertools.chain.from_iterable(
+        zip(ids, floats[:k], floats[k:], rank)))
+    return "[\n" + body + "\n" + " " * (indent * depth) + "]"
+
+
+def _format_floats(values: list[float]) -> list[str]:
+    """format_float over a list, with the digits produced in one call.
+
+    "%.17g" is the format format_float uses; the few distinct texts that
+    look like integers or are not numbers go through format_float itself.
+    """
+    texts = ("%.17g\n" * len(values) % tuple(values)).split("\n")
+    texts.pop()
+    bare = {t: format_float(float(t)) for t in set(texts)
+            if "." not in t and "e" not in t}
+    return [bare.get(t, t) for t in texts] if bare else texts
+
+
 def format_float(x: float) -> str:
-    """17 significant digits; always reads back as the same float."""
-    text = format(float(x), ".17g")
-    if "." not in text and "e" not in text and "n" not in text:
+    """17 significant digits; always reads back as the same float.
+
+    Raises ValueError for NaN and infinities, which JSON cannot express.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot encode non-finite float {x!r}")
+    text = format(x, ".17g")
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 

@@ -218,3 +218,27 @@ def test_concordant_fraction_brute_force():
             if (pos[a] < pos[b]) == (a < b):
                 agree += 1
         assert abs(concordant_fraction(base, perm) - agree / total) < 1e-15
+
+
+def test_concordant_fraction_matches_pair_count():
+    import itertools
+    import random
+    rng = random.Random(17)
+    for n in range(2, 13):
+        for _ in range(5):
+            a = list(range(n))
+            b = list(range(n))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            pos_a = {v: i for i, v in enumerate(a)}
+            pos_b = {v: i for i, v in enumerate(b)}
+            agree = sum((pos_a[x] < pos_a[y]) == (pos_b[x] < pos_b[y])
+                        for x, y in itertools.combinations(range(n), 2))
+            assert concordant_fraction(a, b) == 1.0 - (
+                n * (n - 1) // 2 - agree) / (n * (n - 1) // 2)
+
+
+def test_concordant_fraction_exact_at_the_ends():
+    order = list(range(65536))
+    assert concordant_fraction(order, order) == 1.0
+    assert concordant_fraction(order, order[::-1]) == 0.0

@@ -117,6 +117,22 @@ def test_empty_batch_is_a_noop_on_values():
     assert check_converged(st)
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.0])
+def test_update_bumps_graph_version_once(theta):
+    g = builders.er_graph(30, 0.1, seed=4, undirected=False)
+    st = init(g, Criterion.score(1e-9), alpha=0.05)
+    run(st, g)
+    present = sorted(g.arcs())[:2]
+    absent = [(u, v) for u in range(30) for v in range(30)
+              if u != v and not g.has_arc(u, v)][:3]
+    batch = EdgeBatch(insertions=absent, deletions=present)
+    before = g.version
+    update_batch(st, g, batch, theta=theta)
+    assert g.version == before + 1
+    assert st.graph_version == g.version
+    assert_state_matches(st, fresh_to_depth(g, st))
+
+
 # ---- BFS abort and locality ----
 
 def test_theta_zero_forces_full_recompute():

@@ -10,6 +10,7 @@ import pytest
 from katzbounds import (BatchPreconditionError, EdgeBatch, Graph,
                         NodeRangeError, ParseError, dumps_edge_list,
                         load_edge_list)
+from katzbounds import graph
 
 import builders
 
@@ -174,6 +175,9 @@ def test_parse_rejects_negative_and_arity():
         load_edge_list(io.StringIO("0 -1\n"))
     with pytest.raises(ParseError):
         load_edge_list(io.StringIO("0 1 2\n"))
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(io.StringIO("# c\nNODES 3 4\n0 1\n"))
+    assert exc.value.line == 2
 
 
 def test_header_count_too_small():
@@ -200,3 +204,86 @@ def test_self_loops_are_kept():
     g = load_edge_list(io.StringIO("0 0\n0 1\n"))
     assert g.has_arc(0, 0)
     assert g.arc_count == 2
+
+
+# ---- vectorized loader against the per-line parser ----
+
+LOADER_CASES = {
+    "header": "NODES 9\n0 1\n2 3\n",
+    "lowercase_header_after_comments": "% head\n# c\n\nnodes 12\n11 3\n",
+    "comments": "# c 1 2\n% x y\n0 1\n  # indented 7\n3 2\n% trailing",
+    "blank_lines": "\n\n0 1\n\n  \n2 3\n\n",
+    "tabs": "0\t1\n2 \t 3\r\n\t4\t5\t\n",
+    "duplicates": "0 1\n0 1\n1 0\n0 1\n",
+    "self_loops": "0 0\n1 1\n0 1\n",
+    "no_trailing_newline": "0 1\n1 2",
+    "leading_zeros": "007 0010\n",
+    "mixed_widths": "12345 6\n7 890\n0000000001 1203\n",
+    "non_ascii_comment": "# héllo\n0 1\n",
+    "empty": "",
+    "comments_only": "# nothing\n%\n",
+}
+
+
+@pytest.mark.parametrize("text", LOADER_CASES.values(),
+                         ids=LOADER_CASES.keys())
+@pytest.mark.parametrize("undirected", [False, True])
+def test_vectorized_loader_matches_line_parser(text, undirected):
+    data = text.encode("utf-8")
+    fast = graph._tokenize(data)
+    assert fast is not None
+    slow = graph._parse_lines(io.BytesIO(data))
+    assert fast[0] == slow[0]
+    assert fast[2] == slow[2]
+    np.testing.assert_array_equal(fast[1], slow[1])
+    declared, pairs, _ = slow
+    n = declared if declared is not None else int(pairs.max(initial=-1)) + 1
+    expected = Graph.from_edges(n, [tuple(p) for p in pairs.tolist()],
+                                undirected=undirected)
+    for source in (io.BytesIO(data), io.StringIO(text)):
+        g = load_edge_list(source, undirected=undirected)
+        assert g.node_count == expected.node_count
+        assert list(g.arcs()) == list(expected.arcs())
+
+
+def test_line_parser_decides_what_the_fast_path_rejects():
+    # int() accepts a sign and digit separators; the tokenizer does not.
+    text = "+1 2\n1_0 3\n"
+    assert graph._tokenize(text.encode()) is None
+    g = load_edge_list(io.StringIO(text))
+    assert g.node_count == 11
+    assert sorted(g.arcs()) == [(1, 2), (10, 3)]
+
+
+def test_parse_error_line_in_large_input():
+    text = "".join(f"{i} {i + 1}\n" for i in range(100_000)) + "1 2 3\n"
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(io.BytesIO(text.encode()))
+    assert exc.value.line == 100_001
+
+
+def test_id_overflow_names_its_line():
+    with pytest.raises(NodeRangeError) as exc:
+        load_edge_list(io.StringIO("0 1\n0 4294967296\n"))
+    assert str(exc.value) == ("line 2: node id 4294967296 overflows the "
+                              "32-bit id type")
+
+
+def test_symmetry_and_in_adjacency_follow_mutation():
+    g = Graph.from_edges(4, [(0, 1), (1, 2)], undirected=True)
+    assert g.is_symmetric()
+    g.apply_batch(EdgeBatch(insertions=[(2, 3)]))
+    assert not g.is_symmetric()
+    assert sorted(g.in_neighbors(3)) == [2]
+    assert g.in_degree(1) == 2
+    g.apply_batch(EdgeBatch(insertions=[(3, 2)], deletions=[(0, 1)]))
+    assert not g.is_symmetric()
+    assert sorted(g.in_neighbors(1)) == [2]
+
+
+def test_apply_batch_bumps_version_once():
+    g = builders.cycle(6)
+    v = g.version
+    g.apply_batch(EdgeBatch(insertions=[(0, 3), (3, 0)],
+                            deletions=[(0, 1), (1, 0)]))
+    assert g.version == v + 1

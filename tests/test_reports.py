@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
+import pytest
 
+from katzbounds import reports
 from katzbounds.reports import (CSV_COLUMNS, RunReport, dumps_csv, dumps_json,
                                 format_float, node_rows)
 
@@ -80,3 +83,35 @@ def test_run_report_optional_fields_omitted():
     d = rep.to_dict()
     assert "separated_fraction" not in d
     assert "nodes" not in d
+
+
+def test_format_float_refuses_non_finite():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            format_float(x)
+
+
+def test_node_table_matches_generic_encoder(monkeypatch):
+    lower = np.array([1.0, -0.0, 1e-300, 0.1, 1e16, 1e17, 0.0, 2.5])
+    upper = lower + np.array([0.0, 0.0, 1e-300, 1e-3, 0.0, 0.0, 0.0, 0.5])
+    order = np.array([7, 0, 1, 2, 3, 4, 5, 6])
+    rep = RunReport(command="static", method="katz-bounds",
+                    parameters={"alpha": 0.25}, iterations=3,
+                    wall_time_s=0.5, ranking_prefix=[7, 0],
+                    nodes=node_rows(order, lower, upper),
+                    extra={"batches": [{"batch": 0, "visited": 4}]})
+    fast = dumps_json(rep.to_dict())
+    for text in ('"lower": 1.0,', '"lower": -0.0,', '"lower": 1e-300,'):
+        assert text in fast
+    monkeypatch.setattr(reports, "_encode_node_table",
+                        lambda rows, indent, depth: None)
+    assert dumps_json(rep.to_dict()) == fast
+
+
+def test_node_table_refuses_non_finite():
+    rows = node_rows(np.array([0, 1]), np.array([0.5, math.nan]),
+                     np.array([1.0, math.inf]))
+    with pytest.raises(ValueError):
+        dumps_json({"nodes": rows})
+    with pytest.raises(ValueError):
+        dumps_csv(rows)
