@@ -252,6 +252,8 @@ def cmd_dynamic(args) -> int:
             "reactivated": stats.reactivated,
             "aborted_level": stats.aborted_level,
             "resumed_iterations": stats.resumed_iterations,
+            "matvecs": stats.matvecs,
+            "pushed_arcs": stats.pushed_arcs,
         }
         if args.verify:
             entry["matches_static"] = _matches_fresh_static(state, g)

@@ -8,11 +8,23 @@ one reverse step per level, which keeps small updates local. When it
 stops being local (more than a theta fraction of all nodes), the engine
 falls back to recomputing whole levels.
 
+A local level pushes the moved nodes' deltas with one of two kernels,
+chosen by the number of in-arcs of those nodes, which the row pointer
+gives before any arc is read. Up to a quarter of all arcs, the in-arc
+lists are gathered from the CSR arrays and scatter-added; above it, one
+product of the whole matrix with two columns (the deltas, and an
+indicator of the moved nodes) computes the same sums, and the indicator
+column yields exactly the in-neighbors the gather would have reached, so
+the affected set and the level sizes do not depend on the kernel. This
+is the choice direction-optimizing BFS makes between pushing from a
+small frontier and sweeping the whole graph.
+
 Every level is corrected against the pre-batch graph, with the batch's
 arcs accounted for explicitly: an inserted arc adds its target's
 corrected weight to the source, a deleted arc takes it away again. The
 graph changes once, after bounds are refreshed and previously
-deactivated nodes that could now contend again are reactivated.
+deactivated nodes that could now contend again are reactivated; it
+splices its arrays instead of rebuilding them (see Graph.apply_batch).
 """
 from __future__ import annotations
 
@@ -21,15 +33,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .engine import (RANKING, TOPK, KatzState, check_converged, iterate_once,
-                     tail_gamma)
+from .engine import (RANKING, TOPK, KatzState, check_converged,
+                     default_iteration_cap, iterate_once, tail_gamma)
 from .errors import ConvergenceError, ParameterError, ParseError, StateError
 from .graph import EdgeBatch, Graph, arc_array
 
 
 @dataclass
 class UpdateStats:
-    """Instrumentation for one batch update."""
+    """Instrumentation for one batch update.
+
+    `matvecs` counts passes over the whole matrix (fallback levels,
+    large-frontier levels and resumed iterations); `pushed_arcs` counts
+    the arcs pushed one by one by the gather kernel.
+    """
 
     batch_size: int = 0
     seeds: int = 0
@@ -38,6 +55,15 @@ class UpdateStats:
     reactivated: int = 0
     aborted_level: int | None = None
     resumed_iterations: int = 0
+    matvecs: int = 0
+    pushed_arcs: int = 0
+
+
+# A level whose frontier has more in-arcs than this share of all arcs is
+# pushed by one pass over the whole matrix: gather plus scatter-add costs
+# about 20-25 ns per pushed arc, a two-column product 4-5 ns per arc of
+# the matrix.
+LARGE_FRONTIER_SHARE = 0.25
 
 
 @dataclass
@@ -48,7 +74,8 @@ class UpdateWorkspace:
     `frontier` lists the nodes touched at the previous level and
     `old_prev` their weights there before the update (needed because
     weights are corrected in place). `insertions` and `deletions` are
-    the batch as (k, 2) arrays, `reverse` the pre-batch in-adjacency.
+    the batch as (k, 2) arrays, `reverse` the pre-batch in-adjacency and
+    `mark` an all-False scratch mask that each level restores.
     """
 
     affected: np.ndarray
@@ -56,16 +83,12 @@ class UpdateWorkspace:
     insertions: np.ndarray
     deletions: np.ndarray
     reverse: sparse.csr_matrix
+    mark: np.ndarray
     frontier: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     old_prev: np.ndarray = field(default_factory=lambda: np.empty(0))
     aborted: bool = False
     stats: UpdateStats = field(default_factory=UpdateStats)
-
-
-def bfs_abort_threshold(state: KatzState, ws: UpdateWorkspace) -> bool:
-    """True once the affected set outgrew theta * node_count."""
-    return np.count_nonzero(ws.affected) > ws.theta * state.n
 
 
 def update_level(state: KatzState, ws: UpdateWorkspace, g: Graph,
@@ -76,36 +99,60 @@ def update_level(state: KatzState, ws: UpdateWorkspace, g: Graph,
     graph. In local mode the nodes whose previous-level weight changed
     push alpha times their delta to all their in-neighbors at once;
     inserted arcs then add, and deleted arcs subtract, their target's
-    corrected previous-level weight. Past the abort threshold the whole
-    level is recomputed instead.
+    corrected previous-level weight. Past the abort threshold (more than
+    theta * n affected nodes) the whole level is recomputed instead.
     """
     alpha = state.alpha
     w_prev = state.levels[level - 1]
     w_cur = state.levels[level]
-    ins, dels = ws.insertions, ws.deletions
+    ins, dels, stats = ws.insertions, ws.deletions, ws.stats
+    affected = int(np.count_nonzero(ws.affected))
 
-    if ws.aborted or bfs_abort_threshold(state, ws):
+    if ws.aborted or affected > ws.theta * state.n:
         if not ws.aborted:
             ws.aborted = True
-            ws.stats.aborted_level = level
+            stats.aborted_level = level
         new = alpha * state._matvec(g, w_prev)
+        stats.matvecs += 1
         np.add.at(new, ins[:, 0], alpha * w_prev[ins[:, 1]])
         np.subtract.at(new, dels[:, 0], alpha * w_prev[dels[:, 1]])
         state.katz += new - w_cur
         state.levels[level] = new
         return
 
-    ws.stats.level_sizes.append(int(np.count_nonzero(ws.affected)))
+    stats.level_sizes.append(affected)
     delta = w_prev[ws.frontier] - ws.old_prev
     moved = delta != 0
-    rows = ws.reverse[ws.frontier[moved]]
-    ws.affected[rows.indices] = True
-    mark = np.zeros(state.n, dtype=bool)
-    mark[rows.indices] = mark[ins[:, 0]] = mark[dels[:, 0]] = True
-    touched = np.flatnonzero(mark)
-    old_cur = w_cur[touched]
-    np.add.at(w_cur, rows.indices,
-              np.repeat(alpha * delta[moved], np.diff(rows.indptr)))
+    src, push = ws.frontier[moved], alpha * delta[moved]
+    indptr, mark = ws.reverse.indptr, ws.mark
+    counts = indptr[src + 1] - indptr[src]
+    total = int(counts.sum())
+    if total > LARGE_FRONTIER_SHARE * ws.reverse.nnz:
+        # Column 0 sums the pushes per node, column 1 counts the moved
+        # out-neighbors, which is the exact set the gather would reach.
+        x = np.zeros((state.n, 2))
+        x[src, 0], x[src, 1] = push, 1.0
+        y = g.out_csr() @ x
+        stats.matvecs += 1
+        reached = y[:, 1] > 0
+        ws.affected |= reached
+        mark |= reached
+        mark[ins[:, 0]] = mark[dels[:, 0]] = True
+        touched = np.flatnonzero(mark)
+        old_cur = w_cur[touched]
+        w_cur += y[:, 0]
+    else:
+        # Gather the in-neighbor lists of the moved nodes, row after row.
+        starts = indptr[src] - np.cumsum(counts) + counts
+        nbrs = ws.reverse.indices[np.repeat(starts, counts)
+                                  + np.arange(total)]
+        stats.pushed_arcs += total
+        ws.affected[nbrs] = True
+        mark[nbrs] = mark[ins[:, 0]] = mark[dels[:, 0]] = True
+        touched = np.flatnonzero(mark)
+        old_cur = w_cur[touched]
+        np.add.at(w_cur, nbrs, np.repeat(push, counts))
+    mark[touched] = False
     np.add.at(w_cur, ins[:, 0], alpha * w_prev[ins[:, 1]])
     np.subtract.at(w_cur, dels[:, 0], alpha * w_prev[dels[:, 1]])
     # Fold the level deltas into the running partial sums.
@@ -122,8 +169,17 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     on the pre-batch graph, bound refresh under the new tail factor,
     reactivation of nodes that may contend again, the batch applied to g
     (one version bump), and finally ordinary iterations until the
-    stopping rule holds once more. Instrumentation lands in
+    stopping rule holds once more. An iteration cap that init derived is
+    derived again for the post-batch max out-degree first; a cap the
+    caller gave stays as given. Instrumentation lands in
     state.last_update_stats.
+
+    If those iterations reach the cap, ConvergenceError is raised and the
+    update is not rolled back: the batch stays applied (one version
+    bump), state.graph_version equals g.version, the levels and bounds
+    are those of a valid state at depth state.r, and
+    state.last_update_stats is set. Raising state.max_iterations and
+    calling run(state, g) continues from there.
     """
     if not state.params.keep_all_levels:
         raise StateError("dynamic updates need keep_all_levels=True")
@@ -150,6 +206,10 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
             f"batch raises max out-degree to {new_max}; alpha={state.alpha} "
             f"would leave the walk series divergent")
 
+    if state.derived_cap:
+        state.max_iterations = default_iteration_cap(
+            state.alpha, new_max, state.epsilon)
+
     stats = UpdateStats(batch_size=len(batch))
     affected = np.zeros(state.n, dtype=bool)
     affected[ins[:, 0]] = affected[dels[:, 0]] = True
@@ -157,7 +217,8 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     # Undirected states live on symmetric graphs: in-arcs are out-arcs.
     reverse = g.out_csr() if state.undirected else g.in_csr()
     ws = UpdateWorkspace(affected=affected, theta=theta, insertions=ins,
-                         deletions=dels, reverse=reverse, stats=stats)
+                         deletions=dels, reverse=reverse,
+                         mark=np.zeros(state.n, dtype=bool), stats=stats)
     for level in range(1, state.r + 1):
         update_level(state, ws, g, level)
     affected[ins[:, 1]] = affected[dels[:, 1]] = True
@@ -195,6 +256,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
                 iterations=state.r, gap=state.gap())
         iterate_once(state, g)
         stats.resumed_iterations += 1
+        stats.matvecs += 1
     state.last_update_stats = stats
 
 

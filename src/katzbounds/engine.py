@@ -88,7 +88,6 @@ class Params:
     """Engine parameters fixed at init (gamma tracks the current graph)."""
 
     alpha: float
-    epsilon: float
     gamma: float
     keep_all_levels: bool = True
 
@@ -128,17 +127,18 @@ class KatzState:
     ones), katz the partial sum of levels 1..r, and lower/upper the
     current certified bounds. `active` is the ordered id array of nodes
     still contending for the requested ranking; it only ever shrinks
-    during a static run.
+    during a static run. `derived_cap` is True when max_iterations came
+    from default_iteration_cap rather than from the caller.
     """
 
     __slots__ = ("n", "params", "criterion", "undirected", "r", "levels",
                  "katz", "lower", "upper", "active", "graph_version",
-                 "threads", "max_iterations", "last_update_stats",
-                 "_chunk_cache")
+                 "threads", "max_iterations", "derived_cap",
+                 "last_update_stats", "_chunk_cache")
 
     def __init__(self, n: int, params: Params, criterion: Criterion,
                  undirected: bool, graph_version: int, threads: int,
-                 max_iterations: int):
+                 max_iterations: int, derived_cap: bool = False):
         self.n = n
         self.params = params
         self.criterion = criterion
@@ -153,6 +153,7 @@ class KatzState:
         self.graph_version = graph_version
         self.threads = threads
         self.max_iterations = max_iterations
+        self.derived_cap = derived_cap
         self.last_update_stats = None
         self._chunk_cache = None
 
@@ -273,14 +274,14 @@ def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     gamma = tail_gamma(alpha, d)
-    if max_iterations is None:
+    derived_cap = max_iterations is None
+    if derived_cap:
         max_iterations = default_iteration_cap(alpha, d, criterion.epsilon)
     elif max_iterations < 1:
         raise ParameterError("max_iterations must be >= 1")
-    params = Params(alpha=alpha, epsilon=criterion.epsilon, gamma=gamma,
-                    keep_all_levels=keep_all_levels)
+    params = Params(alpha=alpha, gamma=gamma, keep_all_levels=keep_all_levels)
     return KatzState(n, params, criterion, undirected, g.version,
-                     int(threads), int(max_iterations))
+                     int(threads), int(max_iterations), derived_cap)
 
 
 def default_iteration_cap(alpha: float, max_out_degree: int,

@@ -82,8 +82,11 @@ def rmat_edges(n: int, edge_factor: int = 8, seed: int = 0,
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi
-    packed = np.unique(lo[keep] * n + hi[keep])
-    return [(int(p // n), int(p % n)) for p in packed]
+    packed = np.sort(lo[keep] * n + hi[keep])
+    first = np.ones(packed.size, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    packed = packed[first]
+    return list(zip((packed // n).tolist(), (packed % n).tolist()))
 
 
 def generate(model: str, n: int, *, seed: int = 0,

@@ -8,8 +8,9 @@ membership and batch validation by binary search, and the compressed-row
 numeric kernels multiply with. Degrees, the maximum out-degree, `arcs()`
 and the symmetry test are derived from these arrays; the transposed
 matrix is built only when in-neighbors are asked for. A mutation
-validates its whole batch, then rebuilds the arrays once and bumps the
-version once.
+validates its whole batch, then splices the arrays once (entries leave
+and enter at their sorted positions, row pointers follow by a cumulative
+sum) and bumps the version once.
 
 Memory is about 20 bytes per arc (key, index, value) plus 4-8 bytes per
 node, against roughly 140 bytes per arc for Python sets.
@@ -105,14 +106,15 @@ def _arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 class Graph:
     """Mutable directed graph over the fixed universe 0..node_count-1."""
 
-    __slots__ = ("_n", "_keys", "_csr", "_in_csr", "_symmetric", "_max_out",
-                 "_version")
+    __slots__ = ("_n", "_keys", "_csr", "_ones", "_in_csr", "_symmetric",
+                 "_max_out", "_version")
 
     def __init__(self, node_count: int):
         if node_count < 0:
             raise NodeRangeError(f"node_count must be >= 0, got {node_count}")
         self._n = int(node_count)
         self._version = -1
+        self._ones = None
         self._set_keys(np.empty(0, dtype=np.int64))
 
     # ---- construction helpers ----
@@ -211,18 +213,28 @@ class Graph:
     # ---- mutation ----
 
     def apply_batch(self, batch: EdgeBatch) -> None:
-        """Atomically delete then insert; validates everything first."""
+        """Atomically delete then insert; validates everything first.
+
+        The stored arrays are spliced, not rebuilt: keys and column
+        indices lose and gain entries at the same positions, and the row
+        pointer follows from the per-row count changes.
+        """
         self.validate_batch(batch)
-        keys = self._keys
+        n, keys, indices = self._n, self._keys, self._csr.indices
+        grown = np.zeros(n + 1, dtype=np.int64)  # grown[u + 1]: row u's change
         if batch.deletions:
             dels = arc_array(batch.deletions)
-            keys = np.delete(keys, np.searchsorted(
-                keys, _arc_keys(dels[:, 0], dels[:, 1], self._n)))
+            pos = np.searchsorted(keys, _arc_keys(dels[:, 0], dels[:, 1], n))
+            keys, indices = np.delete(keys, pos), np.delete(indices, pos)
+            np.subtract.at(grown, dels[:, 0] + 1, 1)
         if batch.insertions:
             ins = arc_array(batch.insertions)
-            new = np.sort(_arc_keys(ins[:, 0], ins[:, 1], self._n))
-            keys = np.insert(keys, np.searchsorted(keys, new), new)
-        self._set_keys(keys)
+            new = np.sort(_arc_keys(ins[:, 0], ins[:, 1], n))
+            pos = np.searchsorted(keys, new)
+            keys = np.insert(keys, pos, new)
+            indices = np.insert(indices, pos, (new % n).astype(np.int32))
+            np.add.at(grown, ins[:, 0] + 1, 1)
+        self._install(keys, indices, self._csr.indptr + np.cumsum(grown))
 
     def validate_batch(self, batch: EdgeBatch) -> None:
         """Raise for the first arc, insertions first, that is out of
@@ -253,13 +265,23 @@ class Graph:
     # ---- internals ----
 
     def _set_keys(self, keys: np.ndarray) -> None:
-        """Install a sorted, duplicate-free key array and rebuild from it."""
+        """Install a sorted, duplicate-free key array and build from it."""
         n = self._n
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         indices = (keys % max(n, 1)).astype(np.int32)
+        self._install(keys, indices, indptr)
+
+    def _install(self, keys: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray) -> None:
+        """Make keys and the CSR arrays the graph; one version bump."""
+        n = self._n
+        # The matrix values are all ones and never written, so matrices
+        # share one buffer of ones, grown only when the arc count does.
+        if self._ones is None or self._ones.size < keys.size:
+            self._ones = np.ones(keys.size)
         self._keys = keys
         self._csr = sparse.csr_matrix(
-            (np.ones(keys.size), indices, indptr), shape=(n, n))
+            (self._ones[:keys.size], indices, indptr), shape=(n, n))
         self._max_out = int(np.diff(indptr).max()) if n else 0
         self._in_csr = self._symmetric = None
         self._version += 1

@@ -118,6 +118,8 @@ def test_dynamic_with_verify(tmp_path, capsys, tri):
     assert len(doc["batches"]) == 2
     for entry in doc["batches"]:
         assert entry["matches_static"] is True
+        assert entry["matvecs"] >= entry["resumed_iterations"]
+        assert entry["pushed_arcs"] >= 0
     assert doc["initial_iterations"] >= 1
 
 

@@ -12,6 +12,8 @@ from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
                         check_converged, dense_oracle, init, iterate_once,
                         load_batches, run, update_batch)
 
+from katzbounds.engine import default_iteration_cap
+
 import builders
 
 
@@ -312,6 +314,116 @@ def test_update_cap_raises_with_stats():
             update_batch(tiny, g, EdgeBatch(insertions=[],
                                             deletions=[(0, 1), (1, 0)]),
                          theta=1.0)
+
+
+def test_failed_resume_leaves_documented_state():
+    g = builders.path(12)
+    st = init(g, Criterion.score(1e-9), alpha=0.3, undirected=True,
+              max_iterations=1000)
+    run(st, g)
+    st.max_iterations = st.r  # no headroom for resumed iterations
+    before = g.version
+    # max degree 2 -> 3 raises the tail factor from 5 to 30
+    batch = EdgeBatch(insertions=[(0, 5), (5, 0)])
+    with pytest.raises(ConvergenceError):
+        update_batch(st, g, batch, theta=1.0)
+    assert g.has_arc(0, 5) and g.has_arc(5, 0)
+    assert g.version == before + 1
+    assert st.graph_version == g.version
+    assert st.last_update_stats is not None
+    assert st.last_update_stats.batch_size == 2
+    assert_state_matches(st, fresh_to_depth(g, st))
+    st.max_iterations = 1000
+    run(st, g)
+    assert check_converged(st)
+    assert_state_matches(st, fresh_to_depth(g, st))
+
+
+def test_derived_cap_follows_post_batch_degree():
+    batch = EdgeBatch(insertions=[(0, 5), (5, 0)])
+    g = builders.path(12)
+    st = init(g, Criterion.score(1e-9), alpha=0.3, undirected=True)
+    run(st, g)
+    assert st.max_iterations == default_iteration_cap(0.3, 2, 1e-9)
+    update_batch(st, g, batch, theta=1.0)
+    assert st.max_iterations == default_iteration_cap(0.3, 3, 1e-9)
+    g = builders.path(12)
+    st = init(g, Criterion.score(1e-9), alpha=0.3, undirected=True,
+              max_iterations=700)
+    run(st, g)
+    update_batch(st, g, batch, theta=1.0)
+    assert st.max_iterations == 700
+
+
+# ---- work counters and push kernels ----
+
+def test_full_recompute_pushes_no_arcs():
+    g = builders.grid(6, 6)
+    st = init(g, Criterion.score(1e-8), alpha=0.1, undirected=True)
+    run(st, g)
+    depth = st.r
+    update_batch(st, g, EdgeBatch(insertions=[(0, 14), (14, 0)]), theta=0.0)
+    stats = st.last_update_stats
+    assert stats.pushed_arcs == 0
+    assert stats.matvecs == depth + stats.resumed_iterations
+
+
+def test_local_update_on_path_costs_no_level_matvec():
+    g = builders.path(2000)
+    st = init(g, Criterion.score(1e-8), alpha=0.3, undirected=True)
+    run(st, g)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 1000), (1000, 0)]),
+                 theta=1.0)
+    stats = st.last_update_stats
+    assert stats.aborted_level is None
+    assert stats.resumed_iterations > 0
+    assert stats.matvecs == stats.resumed_iterations
+    assert stats.pushed_arcs > 0
+    assert_state_matches(st, fresh_to_depth(g, st))
+
+
+def hub_graph(directed: bool) -> Graph:
+    """Hub 0 on 30 spokes plus a separate path on 31..40. Directed, the
+    spokes point at the hub, the hub at node 1, and the path runs one way
+    round a cycle."""
+    path = [(i, i + 1) for i in range(31, 40)]
+    if directed:
+        return Graph.from_edges(
+            41, [(i, 0) for i in range(1, 31)] + [(0, 1), (40, 31)] + path)
+    return Graph.from_edges(41, [(0, i) for i in range(1, 31)] + path,
+                            undirected=True)
+
+
+def reverse_bfs_sizes(g: Graph, batch: EdgeBatch, depth: int) -> list[int]:
+    """Affected-set sizes per level, by a plain reverse BFS on the
+    pre-batch graph from the sources of the batch's arcs."""
+    seeds = {u for u, _ in batch.insertions + batch.deletions}
+    affected, frontier, sizes = set(seeds), set(), []
+    for _ in range(depth):
+        sizes.append(len(affected))
+        reached = {w for u in frontier for w in g.in_neighbors(u)}
+        affected |= reached
+        frontier = reached | seeds
+    return sizes
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_large_frontier_levels_match_fresh(directed):
+    arcs = [(0, 35)] if directed else [(0, 35), (35, 0)]
+    batch = EdgeBatch(insertions=arcs)
+    g = hub_graph(directed)
+    # level 2 pushes along the hub's 30 in-arcs, over a quarter of them
+    assert g.in_degree(0) > g.arc_count / 4
+    st = init(g, Criterion.score(1e-10), alpha=0.02,
+              undirected=not directed)
+    run(st, g)
+    update_batch(st, g, batch, theta=1.0)
+    stats = st.last_update_stats
+    assert stats.aborted_level is None
+    assert stats.matvecs > stats.resumed_iterations
+    assert stats.level_sizes == reverse_bfs_sizes(
+        hub_graph(directed), batch, len(stats.level_sizes))
+    assert_state_matches(st, fresh_to_depth(g, st))
 
 
 # ---- batch files ----

@@ -1,6 +1,7 @@
 """Benchmark instance generators."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from katzbounds import Graph, ParameterError, generate
@@ -45,6 +46,31 @@ def test_rmat_reproducible_and_clean():
     assert all(u < v for u, v in e1)       # canonical, no self loops
     assert len(set(e1)) == len(e1)         # deduplicated
     assert all(0 <= u and v < 256 for u, v in e1)
+
+
+def rmat_reference(n: int, seed: int, edge_factor: int = 8):
+    """The generator with np.unique and a per-pair loop, for comparison."""
+    a, b, c = 0.57, 0.19, 0.19
+    m = n * edge_factor
+    rng = np.random.default_rng(seed)
+    src = np.zeros(m, dtype=np.int64)
+    dst = np.zeros(m, dtype=np.int64)
+    for _bit in range(n.bit_length() - 1):
+        draw = rng.random(m)
+        src = (src << 1) | (draw >= a + b)
+        dst = (dst << 1) | (((draw >= a) & (draw < a + b)) |
+                            (draw >= a + b + c))
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    keep = lo != hi
+    return [(int(p // n), int(p % n))
+            for p in np.unique(lo[keep] * n + hi[keep])]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_rmat_matches_unique_reference(seed):
+    edges = generate("rmat", 2**10, seed=seed)
+    assert edges == rmat_reference(2**10, seed)
+    assert all(type(u) is int and type(v) is int for u, v in edges)
 
 
 def test_rmat_is_skewed():

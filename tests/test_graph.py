@@ -131,6 +131,31 @@ def test_apply_batch_and_revert():
     assert set(g.arcs()) == before
 
 
+def assert_same_matrix(g: Graph, h: Graph) -> None:
+    A, B = g.out_csr(), h.out_csr()
+    for x, y in ((A.indptr, B.indptr), (A.indices, B.indices)):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(A.data, B.data)
+    assert g.max_out_degree() == h.max_out_degree()
+    assert g.arc_count == h.arc_count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spliced_csr_equals_fresh_build(seed):
+    rng = random.Random(seed)
+    g = builders.er_graph(30, 0.15, seed=seed, undirected=False)
+    for _ in range(4):
+        g.apply_batch(builders.random_batch(g, rng, max_ops=8))
+        assert_same_matrix(g, Graph.from_edges(30, list(g.arcs())))
+    # emptying the widest row lowers the max degree
+    hub = int(np.argmax(g.out_degrees()))
+    g.apply_batch(EdgeBatch(
+        insertions=[(hub, hub)] if not g.has_arc(hub, hub) else [],
+        deletions=[(hub, v) for v in g.out_neighbors(hub) if v != hub]))
+    assert_same_matrix(g, Graph.from_edges(30, list(g.arcs())))
+
+
 def test_batch_symmetry_probe():
     assert EdgeBatch(insertions=[(0, 1), (1, 0)], deletions=[]).is_symmetric()
     assert not EdgeBatch(insertions=[(0, 1)], deletions=[]).is_symmetric()
