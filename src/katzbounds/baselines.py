@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import default_alpha, validate_alpha
+from .engine import default_alpha, descending_order, validate_alpha
 from .errors import (ConvergenceError, MethodNotApplicableError, NumericError,
                      ParameterError)
 from .graph import Graph
@@ -29,8 +29,7 @@ class ScoreVector:
 
     def ranking(self) -> np.ndarray:
         """Node ids by descending score, ties by ascending id."""
-        n = len(self.values)
-        return np.lexsort((np.arange(n), -self.values))
+        return descending_order(self.values, np.arange(len(self.values)))
 
 
 def foster(g: Graph, alpha: float | None = None, tol: float = 1e-9,

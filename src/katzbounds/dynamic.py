@@ -181,8 +181,6 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     state.last_update_stats is set. Raising state.max_iterations and
     calling run(state, g) continues from there.
     """
-    if not state.params.keep_all_levels:
-        raise StateError("dynamic updates need keep_all_levels=True")
     if state.graph_version != g.version:
         raise StateError("state does not belong to this graph revision")
     if state.r < 1:

@@ -11,6 +11,10 @@ usually long before the scores themselves have converged.
 Bounds only tighten as levels are added: lower bounds never decrease and
 upper bounds never increase, which is what makes early termination and
 permanent deactivation of settled nodes sound.
+
+Nodes are ordered by descending lower bound, ties by ascending node id.
+descending_order is the one implementation of that rule; the convergence
+check, the ranking snapshot and the baselines' rankings all call it.
 """
 from __future__ import annotations
 
@@ -89,7 +93,6 @@ class Params:
 
     alpha: float
     gamma: float
-    keep_all_levels: bool = True
 
 
 def default_alpha(g: Graph) -> float:
@@ -247,8 +250,8 @@ class RankingResult:
 # ---- operations ----
 
 def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
-         undirected: bool = False, keep_all_levels: bool = True,
-         threads: int = 1, max_iterations: int | None = None) -> KatzState:
+         undirected: bool = False, threads: int = 1,
+         max_iterations: int | None = None) -> KatzState:
     """Prepare a computation on g; alpha defaults to 1/(1 + max degree).
 
     Raises ParameterError for an empty graph, an attenuation factor at or
@@ -279,7 +282,7 @@ def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
         max_iterations = default_iteration_cap(alpha, d, criterion.epsilon)
     elif max_iterations < 1:
         raise ParameterError("max_iterations must be >= 1")
-    params = Params(alpha=alpha, gamma=gamma, keep_all_levels=keep_all_levels)
+    params = Params(alpha=alpha, gamma=gamma)
     return KatzState(n, params, criterion, undirected, g.version,
                      int(threads), int(max_iterations), derived_cap)
 
@@ -316,8 +319,6 @@ def iterate_once(state: KatzState, g: Graph) -> None:
         state.lower = state.katz.copy()
     state.upper = state.katz + tail * state.gamma
     state.levels.append(w_new)
-    if not state.params.keep_all_levels and len(state.levels) > 2:
-        del state.levels[0]
 
 
 def epsilon_separated(state: KatzState, w: int, v: int) -> bool:
@@ -362,9 +363,7 @@ def check_converged(state: KatzState) -> bool:
     else:
         top_pos = np.arange(m.size)
         rest_pos = np.empty(0, dtype=np.int64)
-    top_ids = m[top_pos]
-    order = np.lexsort((top_ids, -state.lower[top_ids]))
-    prefix = top_ids[order]
+    prefix = descending_order(state.lower, m[top_pos])
     threshold = state.lower[prefix[-1]]
     if rest_pos.size:
         rest = m[rest_pos]
@@ -399,7 +398,12 @@ def run(state: KatzState, g: Graph) -> RankingResult:
 
 def ranking_result(state: KatzState) -> RankingResult:
     """Snapshot the current bounds into an immutable ranking."""
-    order = np.lexsort((np.arange(state.n), -state.lower))
+    if _is_full_order(state.lower, state.active):
+        # Right after a converged ranking check the active set already is
+        # the full order; a copy keeps the result apart from the state.
+        order = state.active.copy()
+    else:
+        order = descending_order(state.lower, np.arange(state.n))
     lower = state.lower.copy()
     upper = state.upper.copy()
     for arr in (order, lower, upper):
@@ -421,8 +425,48 @@ def separated_fraction(state: KatzState) -> float:
     n = state.n
     if n < 2:
         return 1.0
-    sorted_lower = np.sort(state.lower)
     # For each node, count lower bounds strictly above its upper bound.
-    above = n - np.searchsorted(sorted_lower, state.upper, side="right")
-    total = int(above.sum())
+    # The sum does not depend on the needles' order, and sorted needles
+    # make the binary searches cache-friendly.
+    not_above = np.searchsorted(np.sort(state.lower), np.sort(state.upper),
+                                side="right")
+    total = n * n - int(not_above.sum())
     return total / (n * (n - 1) // 2)
+
+
+def descending_order(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """ids ordered by descending values[id], ties by ascending id.
+
+    Equal to ids[np.lexsort((ids, -values[ids]))] for finite values (0.0
+    and -0.0 tie), in two cheaper sorts: an unstable float argsort, then
+    an int64 sort of run * n + id, where run numbers the groups of equal
+    values in order, which puts the ids inside each group in order. ids
+    must lie in [0, len(values)).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    keys = values[ids]
+    np.negative(keys, out=keys)
+    pos = np.argsort(keys)
+    keys = keys[pos]
+    run = np.zeros(ids.size, dtype=np.int64)
+    np.cumsum(keys[1:] != keys[:-1], out=run[1:])
+    run *= values.size
+    out = ids[pos]
+    out += run
+    out.sort()
+    out -= run
+    return out
+
+
+def _is_full_order(values: np.ndarray, ids: np.ndarray) -> bool:
+    """True when ids lists every one of the len(values) nodes in the order
+    descending_order gives; O(n).
+
+    Adjacent ids strictly increasing under (descending value, ascending
+    id) are distinct, so n of them from [0, n) are all the nodes.
+    """
+    if ids.size != values.size:
+        return False
+    v = values[ids]
+    hi, lo = v[:-1], v[1:]
+    return bool(np.all((hi > lo) | ((hi == lo) & (ids[:-1] < ids[1:]))))

@@ -233,15 +233,6 @@ def test_update_requires_matching_graph_version():
         update_batch(st, g, EdgeBatch(insertions=[], deletions=[]))
 
 
-def test_update_requires_all_levels():
-    g = builders.cycle(6)
-    st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True,
-              keep_all_levels=False)
-    run(st, g)
-    with pytest.raises(StateError):
-        update_batch(st, g, EdgeBatch(insertions=[], deletions=[]))
-
-
 def test_update_rejects_bad_theta():
     g = builders.cycle(6)
     st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)

@@ -2,16 +2,16 @@
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 import pytest
 
 from katzbounds import (ConvergenceError, Criterion, Graph, KatzState,
                         ParameterError, StateError, check_converged,
-                        default_alpha, dense_oracle, epsilon_separated, init,
-                        iterate_once, ranking_result, run,
+                        default_alpha, dense_oracle, epsilon_separated,
+                        generate, init, iterate_once, ranking_result, run,
                         separated_fraction, tail_gamma, validate_alpha)
+from katzbounds.engine import descending_order
 
 import builders
 
@@ -274,6 +274,20 @@ def test_ranking_ties_break_by_node_id():
     assert list(res.order) == [0, 1, 2, 3, 4]
 
 
+def test_ranking_result_reorders_ties_in_a_full_active_set():
+    # A topk check that drops nobody leaves the survivors behind the
+    # prefix in partition order; tied leaves must still come out by id.
+    g = builders.star(6)
+    st = init(g, Criterion.top_k(1), undirected=True)
+    iterate_once(st, g)
+    st.active = np.array([0, 5, 4, 3, 2, 1])
+    assert ranking_result(st).order.tolist() == [0, 1, 2, 3, 4, 5]
+    st.active = np.array([0, 1, 2, 3, 4, 5])
+    order = ranking_result(st).order
+    assert order.tolist() == [0, 1, 2, 3, 4, 5]
+    assert order is not st.active and not order.flags.writeable
+
+
 def test_convergence_error_at_cap():
     g = builders.complete(6)
     st = init(g, Criterion.score(1e-10), undirected=True, max_iterations=2)
@@ -330,10 +344,15 @@ def test_separated_fraction_star():
 
 
 def test_separated_fraction_matches_quadratic_count():
-    rng = random.Random(2)
-    for seed in range(6):
-        g = builders.er_graph(25, 0.15, seed=seed)
-        st = init(g, Criterion.score(1e-5), undirected=True)
+    # six undirected random graphs, then a directed one whose 20 sinks
+    # all have lower = upper = 0: ties on both sides of the count
+    sinks = Graph.from_edges(
+        30, [(u, 10 + (3 * u + j) % 20) for u in range(10) for j in range(4)]
+        + [(u, (u + 1) % 10) for u in range(10)])
+    graphs = [(builders.er_graph(25, 0.15, seed=seed), True)
+              for seed in range(6)] + [(sinks, False)]
+    for g, undirected in graphs:
+        st = init(g, Criterion.score(1e-5), undirected=undirected)
         run(st, g)
         n = g.node_count
         brute = 0
@@ -349,6 +368,104 @@ def test_separated_fraction_tiny_graphs():
     st = init(g, Criterion.ranking(1e-6))
     run(st, g)
     assert separated_fraction(st) == 1.0
+
+
+# ---- node order ----
+
+def lexsort_order(values, ids):
+    return ids[np.lexsort((ids, -values[ids]))]
+
+
+def test_descending_order_matches_lexsort():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(1, 300))
+        # few distinct values, so most nodes tie; signed zeros among them
+        palette = np.concatenate([[0.0, -0.0, 1.0, 1e-300],
+                                  rng.random(int(rng.integers(1, 8)))])
+        values = rng.choice(palette, size=n)
+        if trial % 4 == 0:
+            values = rng.random(n)
+        m = int(rng.integers(0, n + 1))
+        ids = rng.permutation(n)[:m]
+        if trial % 5 == 0:
+            ids = np.unique(np.concatenate([ids, [n - 1]]))[::-1].copy()
+        got = descending_order(values, ids)
+        np.testing.assert_array_equal(got, lexsort_order(values, ids))
+        assert got.dtype == np.int64
+
+
+def test_descending_order_edge_cases():
+    values = np.array([0.0, -0.0, 2.0, 0.0, -0.0])
+    ids = np.arange(5)
+    assert descending_order(values, ids).tolist() == [2, 0, 1, 3, 4]
+    assert descending_order(values, ids[::-1]).tolist() == [2, 0, 1, 3, 4]
+    assert descending_order(values, np.array([4])).tolist() == [4]
+    assert descending_order(values, np.array([], dtype=np.int64)).size == 0
+    assert descending_order(np.array([7.0]), np.array([0])).tolist() == [0]
+    big = np.zeros(2 ** 20)
+    assert descending_order(big, np.array([2 ** 20 - 1, 3, 2 ** 20 - 2])
+                            ).tolist() == [3, 2 ** 20 - 2, 2 ** 20 - 1]
+
+
+def lexsort_check_converged(state):
+    """check_converged with the node order taken from np.lexsort."""
+    kind = state.criterion.kind
+    if kind in ("score", "pair"):
+        return check_converged(state)
+    eps = state.epsilon
+    k = state.n if kind == "ranking" else state.criterion.k
+    m = state.active
+    lowers = state.lower[m]
+    if m.size > k:
+        sel = np.argpartition(-lowers, k - 1)
+        top_pos, rest_pos = sel[:k], sel[k:]
+    else:
+        top_pos = np.arange(m.size)
+        rest_pos = np.empty(0, dtype=np.int64)
+    prefix = lexsort_order(state.lower, m[top_pos])
+    threshold = state.lower[prefix[-1]]
+    if rest_pos.size:
+        rest = m[rest_pos]
+        surviving = rest[state.upper[rest] - eps >= threshold]
+        state.active = np.concatenate([prefix, surviving])
+    else:
+        state.active = prefix
+    if state.active.size > k:
+        return False
+    return bool(np.all(state.upper[prefix[1:]] - eps
+                       < state.lower[prefix[:-1]]))
+
+
+def lexsort_separated_fraction(state):
+    n = state.n
+    above = n - np.searchsorted(np.sort(state.lower), state.upper,
+                                side="right")
+    return int(above.sum()) / (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("undirected", [True, False])
+def test_run_matches_lexsort_reference(undirected):
+    n = 2 ** 12
+    edges = generate("rmat", n, seed=12)
+    if not undirected:
+        flip = np.random.default_rng(3).random(len(edges)) < 0.5
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flip)]
+    g = Graph.from_edges(n, edges, undirected=undirected)
+    for crit in (Criterion.ranking(), Criterion.top_k(25),
+                 Criterion.pair(int(edges[0][0]), n - 1), Criterion.score()):
+        st = init(g, crit, undirected=undirected)
+        res = run(st, g)
+        ref = init(g, crit, undirected=undirected)
+        while True:
+            iterate_once(ref, g)
+            if lexsort_check_converged(ref):
+                break
+        assert res.iterations_used == ref.r
+        np.testing.assert_array_equal(st.active, ref.active)
+        np.testing.assert_array_equal(
+            res.order, lexsort_order(ref.lower, np.arange(n)))
+        assert res.separated_fraction == lexsort_separated_fraction(ref)
 
 
 # ---- threads ----
