@@ -19,8 +19,8 @@ from . import baselines, dynamic, engine
 from .errors import KatzError
 from .generate import MODELS, generate
 from .graph import Graph, dumps_edge_list, load_edge_list
-from .reports import (NODE_ROW_CAP, RunReport, dumps_csv, dumps_json,
-                      node_rows)
+from .reports import (NODE_ROW_CAP, NodeTable, RunReport, dumps_csv,
+                      dumps_json, node_rows)
 
 log = logging.getLogger(__name__)
 
@@ -162,12 +162,13 @@ def _criterion(args) -> engine.Criterion:
     return engine.Criterion.ranking(args.epsilon)
 
 
-def _emit(args, report: RunReport, order=None, lower=None, upper=None) -> None:
+def _node_table(args, result: engine.RankingResult) -> NodeTable:
+    return node_rows(result.order, result.lower, result.upper,
+                     cap=None if args.full else NODE_ROW_CAP)
+
+
+def _emit(args, report: RunReport, rows: NodeTable) -> None:
     if args.out == "csv":
-        if order is None:
-            raise KatzError("csv output needs per-node results")
-        rows = node_rows(order, lower, upper,
-                         cap=None if args.full else NODE_ROW_CAP)
         text = dumps_csv(rows)
     else:
         text = dumps_json(report.to_dict())
@@ -212,15 +213,14 @@ def cmd_static(args) -> int:
     start = time.perf_counter()
     result = engine.run(state, g)
     wall = time.perf_counter() - start
-    cap = None if args.full else NODE_ROW_CAP
     report = RunReport(
         command="static", method="katz-bounds",
         parameters=_engine_parameters(state),
         iterations=result.iterations_used, wall_time_s=wall,
         separated_fraction=result.separated_fraction,
         ranking_prefix=result.top(_prefix_length(state)),
-        nodes=node_rows(result.order, result.lower, result.upper, cap=cap))
-    _emit(args, report, result.order, result.lower, result.upper)
+        nodes=_node_table(args, result))
+    _emit(args, report, report.nodes)
     return 0
 
 
@@ -260,7 +260,6 @@ def cmd_dynamic(args) -> int:
         batch_reports.append(entry)
 
     result = engine.ranking_result(state)
-    cap = None if args.full else NODE_ROW_CAP
     report = RunReport(
         command="dynamic", method="katz-bounds",
         parameters=_engine_parameters(state),
@@ -268,11 +267,11 @@ def cmd_dynamic(args) -> int:
         wall_time_s=initial_wall + sum(b["wall_time_s"] for b in batch_reports),
         separated_fraction=result.separated_fraction,
         ranking_prefix=result.top(_prefix_length(state)),
-        nodes=node_rows(result.order, result.lower, result.upper, cap=cap),
+        nodes=_node_table(args, result),
         extra={"initial_iterations": initial_iterations,
                "initial_wall_time_s": initial_wall,
                "batches": batch_reports})
-    _emit(args, report, result.order, result.lower, result.upper)
+    _emit(args, report, report.nodes)
     return 0
 
 
@@ -344,7 +343,7 @@ def cmd_compare(args) -> int:
         separated_fraction=result.separated_fraction,
         ranking_prefix=result.top(min(10, state.n)),
         extra={"methods": entries})
-    _emit(args, report, result.order, result.lower, result.upper)
+    _emit(args, report, _node_table(args, result))
     return 0
 
 

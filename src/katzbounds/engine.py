@@ -408,9 +408,11 @@ def ranking_result(state: KatzState) -> RankingResult:
     upper = state.upper.copy()
     for arr in (order, lower, upper):
         arr.setflags(write=False)
+    # Along the order the lower bounds descend: reversed, they are sorted.
+    separated = _separated_fraction(state, lower[order[::-1]])
     return RankingResult(order=order, lower=lower, upper=upper,
                          iterations_used=state.r, criterion=state.criterion,
-                         separated_fraction=separated_fraction(state))
+                         separated_fraction=separated)
 
 
 def separated_fraction(state: KatzState) -> float:
@@ -420,6 +422,11 @@ def separated_fraction(state: KatzState) -> float:
     other side's upper bound (no epsilon relaxation). Sorting makes this
     O(n log n). Returns 1.0 for graphs with fewer than two nodes.
     """
+    return _separated_fraction(state, np.sort(state.lower))
+
+
+def _separated_fraction(state: KatzState, ascending_lower: np.ndarray) -> float:
+    """separated_fraction, given state.lower sorted in ascending order."""
     if state.r < 1:
         raise StateError("separated_fraction needs at least one iteration")
     n = state.n
@@ -428,7 +435,7 @@ def separated_fraction(state: KatzState) -> float:
     # For each node, count lower bounds strictly above its upper bound.
     # The sum does not depend on the needles' order, and sorted needles
     # make the binary searches cache-friendly.
-    not_above = np.searchsorted(np.sort(state.lower), np.sort(state.upper),
+    not_above = np.searchsorted(ascending_lower, np.sort(state.upper),
                                 side="right")
     total = n * n - int(not_above.sum())
     return total / (n * (n - 1) // 2)

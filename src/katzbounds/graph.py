@@ -344,11 +344,6 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
     return g
 
 
-# Byte classes for the fast tokenizer: 0 whitespace, 1 digit, 2 other.
-_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t\n\r\x0b\x0c")] = 0
-_BYTE_CLASS[list(b"0123456789")] = 1
-
 # The tokenizer works through the text in blocks of whole lines of about
 # this many bytes, which bounds its scratch memory.
 _BLOCK_BYTES = 1 << 20
@@ -390,42 +385,63 @@ def _tokenize_block(data: bytes):
     """The ids on a block of whole arc and comment lines, as int32 in
     file order, or None."""
     b = np.frombuffer(data, dtype=np.uint8)
-    cls = _BYTE_CLASS[b]
+    space = (b == 32) | (b - np.uint8(9) <= 4)  # " \t\n\v\f\r"
     solid = np.zeros(b.size + 2, dtype=bool)
-    np.not_equal(cls, 0, out=solid[1:-1])
+    np.logical_not(space, out=solid[1:-1])
     bounds = np.flatnonzero(solid[1:] != solid[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    line = np.searchsorted(np.flatnonzero(b == 10), starts)
-    first = np.ones(starts.size, dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    lead = b[starts[first]]
-    keep = ~((lead == ord("#")) | (lead == ord("%")))[np.cumsum(first) - 1]
-
-    odd = np.flatnonzero(cls == 2)
-    if keep[np.searchsorted(starts, odd, side="right") - 1].any():
+    starts = bounds[0::2]
+    # Token starts and newlines, merged in file order.
+    event = b == 10
+    event[starts] = True
+    event = np.flatnonzero(event)
+    tok = b[event] != 10
+    if not np.all(space | (b - np.uint8(48) <= 9)):
+        # Recurses at most once: a blanked block has no comment line.
+        data = _blank_comments(data, b, event, tok)
+        return None if data is None else _tokenize_block(data)
+    # Only digits and whitespace from here on: tokens are digit runs.
+    if not starts.size:
+        return np.empty(0, dtype=np.int32)
+    # More than ten digits could overflow int64 in the parse below.
+    if (bounds[1::2] - starts).max() > 10:
         return None
-    if (b[odd] >= 128).any():
+    # Every line holds 0 or 2 tokens: the tokens come in adjacent pairs,
+    # and a newline separates each pair from the next.
+    at = np.flatnonzero(tok)
+    if at.size % 2 or np.any(at[1::2] != at[0::2] + 1) or \
+            np.any(at[2::2] <= at[1:-1:2] + 1):
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != starts.size or values.max() > MAX_NODE_ID:
+        return None
+    return values.astype(np.int32)
+
+
+def _blank_comments(data: bytes, b: np.ndarray, event: np.ndarray,
+                    tok: np.ndarray):
+    """data with each comment line (first token starting with '#' or '%')
+    turned into spaces; None if it is not valid UTF-8 or has no comment
+    line, in which case its bytes other than digits and whitespace lie
+    outside comments.
+
+    event holds the positions of token starts and newlines in order, tok
+    tells which of them are token starts.
+    """
+    first = event[tok & np.r_[True, ~tok[:-1]]]
+    begin = first[(b[first] == ord("#")) | (b[first] == ord("%"))]
+    if not begin.size:
+        return None
+    if (b >= 128).any():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
             return None
-
-    ends, width, line = ends[keep], (ends - starts)[keep], line[keep]
-    if ends.size % 2 or np.any(line[0::2] != line[1::2]) or \
-            np.any(line[2::2] <= line[1:-1:2]):
-        return None
-    digits = int(width.max()) if width.size else 0
-    if digits > 10:
-        return None
-    # Digit k from the right; reads left of a shorter token are masked.
-    values = np.zeros(ends.size, dtype=np.int64)
-    for k in range(digits):
-        digit = b[ends - 1 - k] - np.int64(ord("0"))
-        digit[width <= k] = 0
-        values += digit * 10**k
-    if values.size and values.max() > MAX_NODE_ID:
-        return None
-    return values.astype(np.int32)
+    newlines = event[~tok]
+    end = np.r_[newlines, b.size][np.searchsorted(newlines, begin)]
+    out = bytearray(data)
+    for lo, hi in zip(begin.tolist(), end.tolist()):
+        out[lo:hi] = b" " * (hi - lo)
+    return bytes(out)
 
 
 def _parse_lines(source):
@@ -477,5 +493,8 @@ def _parse_id(token: str, lineno: int) -> int:
 
 
 def dumps_edge_list(node_count: int, edges: Iterable[Arc]) -> str:
-    """Serialize edges with an explicit NODES header (keeps isolated ids)."""
-    return f"NODES {node_count}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    """Serialize edges (pairs or a (k, 2) array) with an explicit NODES
+    header, which keeps isolated ids."""
+    ids = tuple(edges.ravel().tolist() if isinstance(edges, np.ndarray)
+                else itertools.chain.from_iterable(edges))
+    return f"NODES {node_count}\n" + "%d %d\n" * (len(ids) // 2) % ids

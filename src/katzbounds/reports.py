@@ -1,11 +1,11 @@
 """Run reports and their serialized forms.
 
-JSON output is deterministic: fields keep insertion order and floats are
-rendered with 17 significant digits, enough for an exact round-trip
-through any conforming parser; NaN and infinities, which JSON cannot
-express, are refused. A node table is written from a row template, byte
-for byte what the generic encoder gives. CSV output carries the per-node
-table.
+JSON output is deterministic: fields keep insertion order and floats get
+17 significant digits ("%.17g", plus ".0" where that reads as an
+integer), enough for an exact round-trip; NaN and infinities are refused.
+The per-node table is a columnar `NodeTable`, which JSON and CSV write
+with one formatter (each distinct float formatted once, each row filled
+into one template), byte for byte as the generic per-value encoder would.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ class RunReport:
     wall_time_s: float
     separated_fraction: float | None = None
     ranking_prefix: list[int] = field(default_factory=list)
-    nodes: list[dict[str, Any]] | None = None
+    nodes: NodeTable | list[dict[str, Any]] | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -57,22 +57,34 @@ class RunReport:
         return out
 
 
-def node_rows(order, lower, upper, cap: int | None = NODE_ROW_CAP) -> list[dict]:
-    """Per-node table rows in rank order, optionally truncated."""
+class NodeTable:
+    """Node rows in rank order as aligned columns: int64 `ids` and the
+    float64 bounds `lower` and `upper` gathered by id. Row i, as
+    table[i], is the dict of CSV_COLUMNS, with rank i + 1."""
+
+    def __init__(self, ids: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+        self.ids, self.lower, self.upper = ids, lower, upper
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, i: int) -> dict[str, Any]:
+        return {"node_id": int(self.ids[i]), "lower": float(self.lower[i]),
+                "upper": float(self.upper[i]), "rank": i % len(self) + 1}
+
+
+def node_rows(order, lower, upper, cap: int | None = NODE_ROW_CAP) -> NodeTable:
+    """The node table in rank order, optionally truncated to cap rows."""
     ids = np.asarray(order if cap is None else order[:cap], dtype=np.int64)
-    lows = np.asarray(lower, dtype=np.float64)[ids].tolist()
-    ups = np.asarray(upper, dtype=np.float64)[ids].tolist()
-    return [{"node_id": v, "lower": lo, "upper": up, "rank": rank}
-            for rank, (v, lo, up) in enumerate(zip(ids.tolist(), lows, ups),
-                                               start=1)]
+    return NodeTable(ids, np.asarray(lower, dtype=np.float64)[ids],
+                     np.asarray(upper, dtype=np.float64)[ids])
 
 
 # ---- serialization ----
 
 def dumps_json(value: Any, indent: int = 2) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
-    text = _encode(value, indent, 0)
-    return text + "\n"
+    return _encode(value, indent, 0) + "\n"
 
 
 def _encode(value: Any, indent: int, depth: int) -> str:
@@ -94,55 +106,43 @@ def _encode(value: Any, indent: int, depth: int) -> str:
         items = ",\n".join(
             f"{pad}{json.dumps(str(k))}: {_encode(v, indent, depth + 1)}"
             for k, v in value.items())
-        return "{\n" + items + "\n" + close_pad + "}"
-    if isinstance(value, (list, tuple)):
+        return f"{{\n{items}\n{close_pad}}}"
+    if isinstance(value, NodeTable) and len(value):
+        # The generic encoder's layout of one row, %s for each value.
+        row = _encode(dict.fromkeys(CSV_COLUMNS, "%s"), indent, depth + 1)
+        rows = _fill_rows(value, pad + row.replace('"%s"', "%s"), ",\n")
+        return f"[\n{rows}\n{close_pad}]"
+    if isinstance(value, (list, tuple, NodeTable)):
         if not value:
             return "[]"
-        table = _encode_node_table(value, indent, depth)
-        if table is not None:
-            return table
         items = ",\n".join(
             f"{pad}{_encode(v, indent, depth + 1)}" for v in value)
-        return "[\n" + items + "\n" + close_pad + "]"
+        return f"[\n{items}\n{close_pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _encode_node_table(rows, indent: int, depth: int) -> str | None:
-    """Row-template encoding of a node table; None if `rows` is not one.
-
-    A node table is a list of plain {node_id: int, lower: float,
-    upper: float, rank: int} dicts; the text equals the generic
-    encoder's.
-    """
-    if set(map(type, rows)) != {dict} or \
-            set(map(tuple, rows)) != {CSV_COLUMNS}:
-        return None
-    ids, lower, upper, rank = ([r[c] for r in rows] for c in CSV_COLUMNS)
-    if set(map(type, ids + rank)) != {int} or \
-            set(map(type, lower + upper)) != {float}:
-        return None
-    k = len(rows)
-    floats = _format_floats(lower + upper)
-    pad = " " * (indent * (depth + 1))
-    inner = " " * (indent * (depth + 2))
-    template = pad + "{\n" + ",\n".join(
-        f"{inner}{json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n" + pad + "}"
-    body = ",\n".join([template] * k) % tuple(itertools.chain.from_iterable(
-        zip(ids, floats[:k], floats[k:], rank)))
-    return "[\n" + body + "\n" + " " * (indent * depth) + "]"
-
-
-def _format_floats(values: list[float]) -> list[str]:
-    """format_float over a list, with the digits produced in one call.
-
-    "%.17g" is the format format_float uses; the few distinct texts that
-    look like integers or are not numbers go through format_float itself.
-    """
-    texts = ("%.17g\n" * len(values) % tuple(values)).split("\n")
-    texts.pop()
-    bare = {t: format_float(float(t)) for t in set(texts)
-            if "." not in t and "e" not in t}
-    return [bare.get(t, t) for t in texts] if bare else texts
+def _fill_rows(table: NodeTable, row: str, sep: str) -> str:
+    """The rows filled into the %s-template `row`, joined by `sep`. Floats
+    come out as format_float writes them, each distinct bit pattern
+    formatted once (-0.0 stays apart from 0.0): "%.17g" lacks a point and
+    an exponent exactly for integral values below 1e17, which get ".0"."""
+    values = np.concatenate([table.lower, table.upper])
+    if not np.isfinite(values).all():
+        format_float(values[~np.isfinite(values)][0])  # raises ValueError
+    bits = values.view(np.uint64)
+    distinct = np.sort(bits)
+    first = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    floats = distinct.view(np.float64)
+    text = ("%.17g\n" * floats.size % tuple(floats.tolist())).split("\n")
+    for i in np.flatnonzero((floats == np.trunc(floats)) &
+                            (np.abs(floats) < 1e17)).tolist():
+        text[i] += ".0"
+    texts = [text[i] for i in np.searchsorted(distinct, bits).tolist()]
+    k = len(table)
+    return sep.join([row] * k) % tuple(itertools.chain.from_iterable(
+        zip(table.ids.tolist(), texts[:k], texts[k:], range(1, k + 1))))
 
 
 def format_float(x: float) -> str:
@@ -159,11 +159,11 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps_csv(rows: list[dict]) -> str:
-    """Per-node CSV with the fixed column set."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            format_float(row[c]) if isinstance(row[c], float) else str(row[c])
-            for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+def dumps_csv(rows: NodeTable | list[dict]) -> str:
+    """Per-node CSV with the fixed column set; a list of row dicts is
+    read as a table in rank order (its rank fields are not consulted)."""
+    if not isinstance(rows, NodeTable):
+        rows = NodeTable(*(np.array([r[c] for r in rows], dtype=t) for c, t
+                           in zip(CSV_COLUMNS, (np.int64, float, float))))
+    return ",".join(CSV_COLUMNS) + "\n" + \
+        _fill_rows(rows, "%s,%s,%s,%s\n", "")

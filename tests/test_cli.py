@@ -49,6 +49,13 @@ def test_static_csv_output(capsys, starfile):
     assert lines[0] == "node_id,lower,upper,rank"
     assert len(lines) == 7
     assert lines[1].split(",")[0] == "0"
+    # the same table as the JSON report's, and newline-terminated
+    assert out.endswith("\n") and out.count("\n") == 7
+    nodes = run_json(capsys, ["static", starfile, "--undirected"])["nodes"]
+    for line, node in zip(lines[1:], nodes, strict=True):
+        node_id, lower, upper, rank = line.split(",")
+        assert (int(node_id), float(lower), float(upper), int(rank)) == \
+            (node["node_id"], node["lower"], node["upper"], node["rank"])
 
 
 def test_static_out_file(tmp_path, capsys, tri):

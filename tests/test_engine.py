@@ -361,6 +361,7 @@ def test_separated_fraction_matches_quadratic_count():
                 if v != w and st.lower[w] > st.upper[v]:
                     brute += 1
         assert separated_fraction(st) == brute / (n * (n - 1) // 2)
+        assert ranking_result(st).separated_fraction == separated_fraction(st)
 
 
 def test_separated_fraction_tiny_graphs():

@@ -218,6 +218,15 @@ def test_roundtrip_through_dumps():
     assert set(g2.arcs()) == set(g.arcs())
 
 
+def test_dumps_edge_list_text():
+    pairs = [(0, 1), (2, 0), (10, 2)]
+    text = "NODES 11\n0 1\n2 0\n10 2\n"
+    assert dumps_edge_list(11, pairs) == text
+    assert dumps_edge_list(11, iter(pairs)) == text
+    assert dumps_edge_list(11, np.array(pairs)) == text
+    assert dumps_edge_list(4, []) == "NODES 4\n"
+
+
 def test_load_from_path(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("NODES 3\n0 2\n")
@@ -247,6 +256,8 @@ LOADER_CASES = {
     "non_ascii_comment": "# héllo\n0 1\n",
     "empty": "",
     "comments_only": "# nothing\n%\n",
+    "crlf_tabs_blank_runs": "\r\n\n\t\n0\t1\r\n\r\n \t \r\n2 \t3\r\n\n\n",
+    "comment_in_last_line": "0 1\n# 5 6",
 }
 
 
@@ -269,6 +280,56 @@ def test_vectorized_loader_matches_line_parser(text, undirected):
         g = load_edge_list(source, undirected=undirected)
         assert g.node_count == expected.node_count
         assert list(g.arcs()) == list(expected.arcs())
+
+
+TOKENIZER_REJECTS = {
+    "eleven_digits": "00000000001 2\n",
+    "eleven_digit_id": "12345678901 2\n",
+    "int64_overflow": "99999999999999999999 1\n",
+    "two_to_the_31": "0 1\n2147483648 1\n",
+    "one_id": "0 1\n5\n2 3\n",
+    "three_ids": "0 1\n2 3 4\n",
+    "four_ids": "0 1 2 3\n",
+    "one_id_last_line": "0 1\n5",
+    "pair_split_by_newline": "0\n1\n",
+    "invalid_utf8_comment": "# \xff\n0 1\n",
+    "id_then_comment": "0 1 # note\n",
+}
+
+
+@pytest.mark.parametrize("text", TOKENIZER_REJECTS.values(),
+                         ids=TOKENIZER_REJECTS.keys())
+def test_tokenizer_hands_odd_input_to_line_parser(text):
+    # the fast path declines; whatever the line parser then does (accept,
+    # or raise with a line number) is the loader's answer
+    data = text.encode("latin-1")
+    assert graph._tokenize(data) is None
+    try:
+        expected = graph._parse_lines(io.BytesIO(data))
+    except (ParseError, NodeRangeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_edge_list(io.BytesIO(data))
+        assert str(got.value) == str(exc)
+    else:
+        g = load_edge_list(io.BytesIO(data))
+        assert list(g.arcs()) == sorted(map(tuple, expected[1].tolist()))
+
+
+def test_tokenizer_splits_large_input_into_blocks():
+    # ids up to 2^31 - 1: compared as arrays, no graph is built
+    lines = [f"{i} {i * 7919 % 2147483647}\n" for i in range(150_000)]
+    for i in range(0, len(lines), 997):
+        lines[i] = lines[i].replace("\n", "\r\n").replace(" ", "\t")
+    for i in range(500, len(lines), 1409):
+        lines[i] = "# comment line\n"
+    lines[-1] = "0000000000 2147483647\n"  # ten digits, the largest id
+    data = ("NODES 2147483647\n" + "".join(lines) + "2147483646 7").encode()
+    assert len(data) > 2 * graph._BLOCK_BYTES
+    fast = graph._tokenize(data)
+    slow = graph._parse_lines(io.BytesIO(data))
+    assert fast is not None
+    assert fast[0] == slow[0] and fast[2] == slow[2]
+    np.testing.assert_array_equal(fast[1], slow[1])
 
 
 def test_line_parser_decides_what_the_fast_path_rejects():

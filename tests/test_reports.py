@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from katzbounds import reports
-from katzbounds.reports import (CSV_COLUMNS, RunReport, dumps_csv, dumps_json,
-                                format_float, node_rows)
+from katzbounds.reports import (CSV_COLUMNS, NodeTable, RunReport, dumps_csv,
+                                dumps_json, format_float, node_rows)
 
 
 def test_format_float_round_trips():
@@ -91,21 +90,76 @@ def test_format_float_refuses_non_finite():
             format_float(x)
 
 
-def test_node_table_matches_generic_encoder(monkeypatch):
+def csv_per_value(rows) -> str:
+    """Per-value CSV reference: format_float on each float, str on the rest."""
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(
+            format_float(row[c]) if isinstance(row[c], float) else str(row[c])
+            for c in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def test_node_table_matches_generic_encoder():
+    # list(table) gives plain row dicts, which only the generic
+    # per-value encoder writes
     lower = np.array([1.0, -0.0, 1e-300, 0.1, 1e16, 1e17, 0.0, 2.5])
     upper = lower + np.array([0.0, 0.0, 1e-300, 1e-3, 0.0, 0.0, 0.0, 0.5])
     order = np.array([7, 0, 1, 2, 3, 4, 5, 6])
-    rep = RunReport(command="static", method="katz-bounds",
-                    parameters={"alpha": 0.25}, iterations=3,
-                    wall_time_s=0.5, ranking_prefix=[7, 0],
-                    nodes=node_rows(order, lower, upper),
-                    extra={"batches": [{"batch": 0, "visited": 4}]})
-    fast = dumps_json(rep.to_dict())
+    table = node_rows(order, lower, upper)
+    reps = [RunReport(command="static", method="katz-bounds",
+                      parameters={"alpha": 0.25}, iterations=3,
+                      wall_time_s=0.5, ranking_prefix=[7, 0], nodes=nodes,
+                      extra={"batches": [{"batch": 0, "visited": 4}]})
+            for nodes in (table, list(table))]
+    assert all(isinstance(row, dict) for row in reps[1].nodes)
+    fast = dumps_json(reps[0].to_dict())
     for text in ('"lower": 1.0,', '"lower": -0.0,', '"lower": 1e-300,'):
         assert text in fast
-    monkeypatch.setattr(reports, "_encode_node_table",
-                        lambda rows, indent, depth: None)
-    assert dumps_json(rep.to_dict()) == fast
+    assert fast == dumps_json(reps[1].to_dict())
+    assert dumps_csv(table) == csv_per_value(list(table))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e17, 1e-300, 5e-324,
+                  0.1, -1.0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_node_table_writer_matches_per_value_encoder(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    # a few distinct values, each used many times, plus the specials
+    pool = np.concatenate([rng.random(int(rng.integers(1, 8))),
+                           SPECIAL_FLOATS])
+    cap = [None, 0, 1, n // 2][seed % 4]
+    table = node_rows(rng.permutation(n), rng.choice(pool, n),
+                      rng.choice(pool, n), cap=cap)
+    if seed % 2:  # ids near 2^31
+        table = NodeTable(table.ids + (2**31 - 1 - n), table.lower,
+                          table.upper)
+    rows = list(table)
+    assert len(rows) == len(table) == (n if cap is None else min(cap, n))
+    for indent in (2, 4):
+        doc = {"x": 1, "nodes": table, "after": [table]}
+        generic = {"x": 1, "nodes": rows, "after": [rows]}
+        assert dumps_json(doc, indent) == dumps_json(generic, indent)
+    assert dumps_csv(table) == csv_per_value(rows)
+    assert dumps_csv(rows) == dumps_csv(table)
+
+
+def test_node_table_rows_read_like_a_list():
+    table = node_rows(np.array([2, 0, 1]), np.array([0.1, 0.2, 0.9]),
+                      np.array([0.15, 0.25, 0.95]))
+    assert table[-1] == {"node_id": 1, "lower": 0.2, "upper": 0.25,
+                         "rank": 3}
+    assert table[-3] == table[0]
+    assert [row["node_id"] for row in table] == [2, 0, 1]
+    with pytest.raises(IndexError):
+        table[3]
+    empty = node_rows(np.array([], dtype=np.int64), np.zeros(0), np.zeros(0))
+    assert list(empty) == []
+    assert dumps_json({"nodes": empty}) == dumps_json({"nodes": []})
+    assert dumps_csv(empty) == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_node_table_refuses_non_finite():
