@@ -275,20 +275,17 @@ def cmd_dynamic(args) -> int:
     return 0
 
 
-def _matches_fresh_static(state: engine.KatzState, g: Graph,
-                          rel_tol: float = 1e-12) -> bool:
-    """Recompute from scratch to the same depth and compare levels."""
+def _matches_fresh_static(state: engine.KatzState, g: Graph) -> bool:
+    """Recompute from scratch to the same depth; levels, partial sums and
+    bounds must be bitwise equal."""
     fresh = engine.init(g, state.criterion, alpha=state.alpha,
                         undirected=state.undirected,
                         max_iterations=max(state.r, 1))
     for _ in range(state.r):
         engine.iterate_once(fresh, g)
-    for mine, theirs in zip(state.levels, fresh.levels):
-        if not np.allclose(mine, theirs, rtol=rel_tol, atol=rel_tol):
-            return False
-    return (np.allclose(state.katz, fresh.katz, rtol=rel_tol, atol=rel_tol)
-            and np.allclose(state.lower, fresh.lower, rtol=rel_tol, atol=rel_tol)
-            and np.allclose(state.upper, fresh.upper, rtol=rel_tol, atol=rel_tol))
+    pairs = [*zip(state.levels, fresh.levels), (state.katz, fresh.katz),
+             (state.lower, fresh.lower), (state.upper, fresh.upper)]
+    return all(np.array_equal(mine, theirs) for mine, theirs in pairs)
 
 
 def cmd_compare(args) -> int:

@@ -1,30 +1,26 @@
 """Incremental maintenance of a converged bounded-Katz state.
 
-Instead of recomputing every walk level after edges change, corrections
-are propagated backwards from the endpoints of the changed arcs: if a
-node's level-(i-1) weight moved, every in-neighbor's level-i weight moves
-by alpha times that delta. The affected set therefore grows by at most
-one reverse step per level, which keeps small updates local. When it
-stops being local (more than a theta fraction of all nodes), the engine
-falls back to recomputing whole levels.
+An update applies the batch to the graph, then recomputes level by level
+only the rows whose value can have changed. Level i of node v is alpha
+times the sum of level i-1 over v's out-neighbors, so it can change only
+if v is a source of a batch arc or an out-neighbor of v changed at level
+i-1. The rows are summed from the post-batch graph in the order the full
+matrix product sums them, so levels, partial sums, bounds and the node
+order, ties included, are bitwise those of a fresh run. The affected set
+grows by one reverse step per level, which keeps small updates local;
+once it holds more than a theta share of the nodes, each remaining level
+is one product with the whole matrix.
 
-A local level pushes the moved nodes' deltas with one of two kernels,
-chosen by the number of in-arcs of those nodes, which the row pointer
-gives before any arc is read. Up to a quarter of all arcs, the in-arc
-lists are gathered from the CSR arrays and scatter-added; above it, one
-product of the whole matrix with two columns (the deltas, and an
-indicator of the moved nodes) computes the same sums, and the indicator
-column yields exactly the in-neighbors the gather would have reached, so
-the affected set and the level sizes do not depend on the kernel. This
-is the choice direction-optimizing BFS makes between pushing from a
-small frontier and sweeping the whole graph.
-
-Every level is corrected against the pre-batch graph, with the batch's
-arcs accounted for explicitly: an inserted arc adds its target's
-corrected weight to the source, a deleted arc takes it away again. The
-graph changes once, after bounds are refreshed and previously
-deactivated nodes that could now contend again are reactivated; it
-splices its arrays instead of rebuilding them (see Graph.apply_batch).
+A local level gathers its rows' arcs from the CSR arrays and sums them
+with np.bincount, which adds in arc order from 0.0 as scipy's product
+does. When the rows hold more than a quarter of all arcs, the level is
+one whole-matrix product instead. When the nodes changed at the previous
+level have more than a quarter of all in-arcs, their in-neighbors are
+not gathered either: the nonzeros of the product of the whole matrix
+with an indicator of those nodes are exactly the rows, and the level is
+one more whole-matrix product. This is the choice direction-optimizing
+BFS makes between pushing from a small frontier and sweeping the whole
+graph.
 """
 from __future__ import annotations
 
@@ -44,8 +40,8 @@ class UpdateStats:
     """Instrumentation for one batch update.
 
     `matvecs` counts passes over the whole matrix (fallback levels,
-    large-frontier levels and resumed iterations); `pushed_arcs` counts
-    the arcs pushed one by one by the gather kernel.
+    whole-matrix local levels and resumed iterations); `pushed_arcs`
+    counts the arcs read by the row kernel.
     """
 
     batch_size: int = 0
@@ -59,105 +55,84 @@ class UpdateStats:
     pushed_arcs: int = 0
 
 
-# A level whose frontier has more in-arcs than this share of all arcs is
-# pushed by one pass over the whole matrix: gather plus scatter-add costs
-# about 20-25 ns per pushed arc, a two-column product 4-5 ns per arc of
-# the matrix.
+# A local level whose rows, or whose previous level's changed nodes, hold
+# more than this share of all arcs makes whole-matrix passes. On rmat
+# 2^16 the row kernel costs about 11 ns per arc read, a product 1.3 ns per
+# arc of the matrix.
 LARGE_FRONTIER_SHARE = 0.25
 
 
-@dataclass
-class UpdateWorkspace:
-    """Scratch carried across the per-level correction passes.
+def _row_arcs(A: sparse.csr_matrix, rows: np.ndarray,
+              counts: np.ndarray) -> np.ndarray:
+    """Column indices of the rows' arcs in CSR order, as intp: numpy
+    converts narrower index arrays on every use."""
+    starts = A.indptr[rows] - np.cumsum(counts) + counts
+    pos = np.repeat(starts, counts) + np.arange(counts.sum())
+    return A.indices[pos].astype(np.intp)
 
-    `affected` marks the nodes whose walk weights may have changed;
-    `frontier` lists the nodes touched at the previous level and
-    `old_prev` their weights there before the update (needed because
-    weights are corrected in place). `insertions` and `deletions` are
-    the batch as (k, 2) arrays, `reverse` the pre-batch in-adjacency and
-    `mark` an all-False scratch mask that each level restores.
+
+def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
+                      affected: np.ndarray, theta: float,
+                      stats: UpdateStats) -> None:
+    """Bring levels 1..r up to date with g, the batch already applied.
+
+    `affected` marks the sources on entry and every recomputed row on
+    exit. A level's rows are the sources plus the in-neighbors of the
+    nodes changed at the level before; since in-arcs before the batch
+    plus sources equal in-arcs after it plus sources, g serves both.
     """
-
-    affected: np.ndarray
-    theta: float
-    insertions: np.ndarray
-    deletions: np.ndarray
-    reverse: sparse.csr_matrix
-    mark: np.ndarray
-    frontier: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
-    old_prev: np.ndarray = field(default_factory=lambda: np.empty(0))
-    aborted: bool = False
-    stats: UpdateStats = field(default_factory=UpdateStats)
-
-
-def update_level(state: KatzState, ws: UpdateWorkspace, g: Graph,
-                 level: int) -> None:
-    """Correct walk level `level` in place after the batch.
-
-    Expects levels 1..level-1 already corrected and g still the pre-batch
-    graph. In local mode the nodes whose previous-level weight changed
-    push alpha times their delta to all their in-neighbors at once;
-    inserted arcs then add, and deleted arcs subtract, their target's
-    corrected previous-level weight. Past the abort threshold (more than
-    theta * n affected nodes) the whole level is recomputed instead.
-    """
-    alpha = state.alpha
-    w_prev = state.levels[level - 1]
-    w_cur = state.levels[level]
-    ins, dels, stats = ws.insertions, ws.deletions, ws.stats
-    affected = int(np.count_nonzero(ws.affected))
-
-    if ws.aborted or affected > ws.theta * state.n:
-        if not ws.aborted:
-            ws.aborted = True
-            stats.aborted_level = level
-        new = alpha * state._matvec(g, w_prev)
-        stats.matvecs += 1
-        np.add.at(new, ins[:, 0], alpha * w_prev[ins[:, 1]])
-        np.subtract.at(new, dels[:, 0], alpha * w_prev[dels[:, 1]])
-        state.katz += new - w_cur
-        state.levels[level] = new
-        return
-
-    stats.level_sizes.append(affected)
-    delta = w_prev[ws.frontier] - ws.old_prev
-    moved = delta != 0
-    src, push = ws.frontier[moved], alpha * delta[moved]
-    indptr, mark = ws.reverse.indptr, ws.mark
-    counts = indptr[src + 1] - indptr[src]
-    total = int(counts.sum())
-    if total > LARGE_FRONTIER_SHARE * ws.reverse.nnz:
-        # Column 0 sums the pushes per node, column 1 counts the moved
-        # out-neighbors, which is the exact set the gather would reach.
-        x = np.zeros((state.n, 2))
-        x[src, 0], x[src, 1] = push, 1.0
-        y = g.out_csr() @ x
-        stats.matvecs += 1
-        reached = y[:, 1] > 0
-        ws.affected |= reached
-        mark |= reached
-        mark[ins[:, 0]] = mark[dels[:, 0]] = True
-        touched = np.flatnonzero(mark)
-        old_cur = w_cur[touched]
-        w_cur += y[:, 0]
-    else:
-        # Gather the in-neighbor lists of the moved nodes, row after row.
-        starts = indptr[src] - np.cumsum(counts) + counts
-        nbrs = ws.reverse.indices[np.repeat(starts, counts)
-                                  + np.arange(total)]
-        stats.pushed_arcs += total
-        ws.affected[nbrs] = True
-        mark[nbrs] = mark[ins[:, 0]] = mark[dels[:, 0]] = True
-        touched = np.flatnonzero(mark)
-        old_cur = w_cur[touched]
-        np.add.at(w_cur, nbrs, np.repeat(push, counts))
-    mark[touched] = False
-    np.add.at(w_cur, ins[:, 0], alpha * w_prev[ins[:, 1]])
-    np.subtract.at(w_cur, dels[:, 0], alpha * w_prev[dels[:, 1]])
-    # Fold the level deltas into the running partial sums.
-    state.katz[touched] += w_cur[touched] - old_cur
-    ws.frontier, ws.old_prev = touched, old_cur
+    alpha, n, A = state.alpha, state.n, g.out_csr()
+    share = LARGE_FRONTIER_SHARE * A.nnz
+    mark = np.zeros(n, dtype=bool)
+    changed = nbrs = np.empty(0, dtype=np.int64)
+    for level in range(1, state.r + 1):
+        w_prev, old = state.levels[level - 1], state.levels[level]
+        size = int(np.count_nonzero(affected))
+        if stats.aborted_level is not None or size > theta * n:
+            stats.aborted_level = stats.aborted_level or level
+            state.levels[level] = alpha * state._matvec(g, w_prev)
+            stats.matvecs += 1
+            continue
+        stats.level_sizes.append(size)
+        new = None  # the whole level, once a whole-matrix pass gave it
+        if nbrs is None:
+            rev = A if state.undirected else g.in_csr()
+            counts = rev.indptr[changed + 1] - rev.indptr[changed]
+            if counts.sum() > share:
+                # A row of A @ indicator counts the changed out-neighbors,
+                # so its nonzeros are exactly the in-neighbors of `changed`.
+                hit = np.zeros(n)
+                hit[changed] = 1.0
+                nbrs = np.flatnonzero(A @ hit > 0)
+                new = alpha * state._matvec(g, w_prev)
+                stats.matvecs += 2
+            else:
+                nbrs = _row_arcs(rev, changed, counts)
+        mark[sources] = mark[nbrs] = True
+        rows = np.flatnonzero(mark)
+        mark[rows] = False
+        affected[rows] = True
+        nbrs = None
+        if new is None:
+            counts = A.indptr[rows + 1] - A.indptr[rows]
+            if counts.sum() > share:
+                new = alpha * state._matvec(g, w_prev)
+                stats.matvecs += 1
+        if new is not None:
+            changed = rows[new[rows] != old[rows]]
+            state.levels[level] = new
+            continue
+        cols = _row_arcs(A, rows, counts)
+        stats.pushed_arcs += cols.size
+        owner = np.repeat(np.arange(rows.size), counts)
+        new_rows = alpha * np.bincount(owner, weights=w_prev[cols],
+                                       minlength=rows.size)
+        moved = new_rows != old[rows]
+        old[rows] = new_rows
+        changed = rows[moved]
+        if state.undirected:
+            # In-arcs are out-arcs: those of the changed rows, already read.
+            nbrs = cols[moved[owner]]
 
 
 def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
@@ -165,14 +140,16 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     """Apply an arc batch to g and bring the state back to convergence.
 
     Validates everything (batch preconditions, post-update admissibility
-    of alpha) before touching graph or state, then: per-level corrections
-    on the pre-batch graph, bound refresh under the new tail factor,
-    reactivation of nodes that may contend again, the batch applied to g
-    (one version bump), and finally ordinary iterations until the
-    stopping rule holds once more. An iteration cap that init derived is
-    derived again for the post-batch max out-degree first; a cap the
-    caller gave stays as given. Instrumentation lands in
-    state.last_update_stats.
+    of alpha) before touching graph or state, then: the batch applied to
+    g (one version bump), the levels that can have changed recomputed on
+    the post-batch graph, the partial sums of the recomputed nodes summed
+    again in level order, bounds refreshed under the new tail factor,
+    nodes that may contend again reactivated, and finally ordinary
+    iterations until the stopping rule holds once more. Levels, partial
+    sums and bounds are then bitwise those of a fresh run to the same
+    depth. An iteration cap that init derived is derived again for the
+    post-batch max out-degree first; a cap the caller gave stays as
+    given. Instrumentation lands in state.last_update_stats.
 
     If those iterations reach the cap, ConvergenceError is raised and the
     update is not rolled back: the batch stays applied (one version
@@ -211,27 +188,24 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     stats = UpdateStats(batch_size=len(batch))
     affected = np.zeros(state.n, dtype=bool)
     affected[ins[:, 0]] = affected[dels[:, 0]] = True
-    stats.seeds = int(np.count_nonzero(affected))
-    # Undirected states live on symmetric graphs: in-arcs are out-arcs.
-    reverse = g.out_csr() if state.undirected else g.in_csr()
-    ws = UpdateWorkspace(affected=affected, theta=theta, insertions=ins,
-                         deletions=dels, reverse=reverse,
-                         mark=np.zeros(state.n, dtype=bool), stats=stats)
-    for level in range(1, state.r + 1):
-        update_level(state, ws, g, level)
+    sources = np.flatnonzero(affected)
+    stats.seeds = int(sources.size)
+    g.apply_batch(batch)
+    state.graph_version = g.version
+    _recompute_levels(state, g, sources, affected, theta, stats)
+
+    # Sum the levels of every recomputed node again from zero, in level
+    # order, as a fresh run does; after a fallback, of every node.
+    touched = slice(None) if stats.aborted_level else np.flatnonzero(affected)
+    katz = np.zeros_like(state.katz[touched])
+    for level in state.levels[1:]:
+        katz += level[touched]
+    state.katz[touched] = katz
     affected[ins[:, 1]] = affected[dels[:, 1]] = True
     stats.visited = int(np.count_nonzero(affected))
 
-    # Refresh bounds everywhere under the post-update tail factor. Values
-    # of untouched nodes are reproduced bit for bit, so this equals the
-    # touched-only refresh whenever the factor is unchanged.
     state.set_gamma(tail_gamma(state.alpha, new_max))
-    tail = state.alpha * state.levels[state.r]
-    if state.undirected:
-        state.lower = state.katz + tail
-    else:
-        state.lower = state.katz.copy()
-    state.upper = state.katz + tail * state.gamma
+    state.refresh_bounds()
 
     # Nodes written off earlier may contend again after the update.
     if state.criterion.kind in (RANKING, TOPK) and state.active.size < state.n:
@@ -242,9 +216,6 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
         if back.size:
             state.active = np.concatenate([state.active, back])
             stats.reactivated = int(back.size)
-
-    g.apply_batch(batch)
-    state.graph_version = g.version
 
     while not check_converged(state):
         if state.r >= state.max_iterations:

@@ -180,6 +180,14 @@ class KatzState:
     def set_gamma(self, gamma: float) -> None:
         self.params = replace(self.params, gamma=gamma)
 
+    def refresh_bounds(self) -> None:
+        """Set lower/upper from the partial sums and level r."""
+        tail = self.alpha * self.levels[self.r]
+        # Undirected, every walk of length r extends by retracing its last
+        # edge, so the next term is at least alpha * level r.
+        self.lower = self.katz + tail if self.undirected else self.katz.copy()
+        self.upper = self.katz + tail * self.gamma
+
     # ---- parallel matvec ----
 
     def _matvec(self, g: Graph, vec: np.ndarray) -> np.ndarray:
@@ -306,19 +314,10 @@ def iterate_once(state: KatzState, g: Graph) -> None:
     if g.version != state.graph_version:
         raise StateError(
             "graph changed since init; static iteration would be unsound")
-    alpha = state.alpha
-    w_new = alpha * state._matvec(g, state.levels[-1])
+    state.levels.append(state.alpha * state._matvec(g, state.levels[-1]))
     state.r += 1
-    state.katz += w_new
-    tail = alpha * w_new
-    if state.undirected:
-        # Every walk of length r extends by retracing its last edge, so
-        # the next term is at least alpha * current level.
-        state.lower = state.katz + tail
-    else:
-        state.lower = state.katz.copy()
-    state.upper = state.katz + tail * state.gamma
-    state.levels.append(w_new)
+    state.katz += state.levels[-1]
+    state.refresh_bounds()
 
 
 def epsilon_separated(state: KatzState, w: int, v: int) -> bool:
@@ -358,8 +357,14 @@ def check_converged(state: KatzState) -> bool:
     m = state.active
     lowers = state.lower[m]
     if m.size > k:
-        sel = np.argpartition(-lowers, k - 1)
-        top_pos, rest_pos = sel[:k], sel[k:]
+        # Any k nodes bound the k-th largest lower bound from below, so
+        # only nodes at or above the least of the first k can be in the
+        # top k. Partitioning just those stays cheap when many tie.
+        cand = np.flatnonzero(lowers >= lowers[:k].min())
+        top_pos = cand[np.argpartition(-lowers[cand], k - 1)[:k]]
+        rest = np.ones(m.size, dtype=bool)
+        rest[top_pos] = False
+        rest_pos = np.flatnonzero(rest)
     else:
         top_pos = np.arange(m.size)
         rest_pos = np.empty(0, dtype=np.int64)

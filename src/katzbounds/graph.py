@@ -103,6 +103,27 @@ def _arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     return src.astype(np.int64) * n + dst
 
 
+# Graph.apply_batch splices up to this many deleted plus inserted arcs by
+# concatenating the kept slices, which copies each array once; beyond it
+# np.delete/np.insert win (955k arcs: 1.0 against 2.3 ms at 2 positions,
+# 1.5-1.9 against 1.9-2.0 ms at 500, 3.0 against 2.3 ms at 1000).
+SPLICE_BY_SLICES = 500
+
+
+def _splice(a: np.ndarray, gone: np.ndarray, at: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """a without its entries at the sorted positions `gone`, with values
+    inserted before the sorted positions `at` (positions in a)."""
+    pieces, prev, j, at = [], 0, 0, at.tolist()
+    for p in gone.tolist() + [a.size]:
+        while j < len(at) and at[j] <= p:
+            pieces += (a[prev:at[j]], values[j:j + 1])
+            prev, j = at[j], j + 1
+        pieces.append(a[prev:p])
+        prev = p + 1
+    return np.concatenate(pieces)
+
+
 class Graph:
     """Mutable directed graph over the fixed universe 0..node_count-1."""
 
@@ -221,19 +242,24 @@ class Graph:
         """
         self.validate_batch(batch)
         n, keys, indices = self._n, self._keys, self._csr.indices
+        dels, ins = arc_array(batch.deletions), arc_array(batch.insertions)
+        gone = np.sort(np.searchsorted(keys, _arc_keys(*dels.T, n)))
+        new = np.sort(_arc_keys(*ins.T, n))
+        new_indices = (new % max(n, 1)).astype(np.int32)
+        if gone.size + new.size <= SPLICE_BY_SLICES:
+            at = np.searchsorted(keys, new)
+            keys = _splice(keys, gone, at, new)
+            indices = _splice(indices, gone, at, new_indices)
+        else:  # each call copies its array, so only the needed ones run
+            if gone.size:
+                keys, indices = np.delete(keys, gone), np.delete(indices, gone)
+            if new.size:
+                at = np.searchsorted(keys, new)
+                keys = np.insert(keys, at, new)
+                indices = np.insert(indices, at, new_indices)
         grown = np.zeros(n + 1, dtype=np.int64)  # grown[u + 1]: row u's change
-        if batch.deletions:
-            dels = arc_array(batch.deletions)
-            pos = np.searchsorted(keys, _arc_keys(dels[:, 0], dels[:, 1], n))
-            keys, indices = np.delete(keys, pos), np.delete(indices, pos)
-            np.subtract.at(grown, dels[:, 0] + 1, 1)
-        if batch.insertions:
-            ins = arc_array(batch.insertions)
-            new = np.sort(_arc_keys(ins[:, 0], ins[:, 1], n))
-            pos = np.searchsorted(keys, new)
-            keys = np.insert(keys, pos, new)
-            indices = np.insert(indices, pos, (new % n).astype(np.int32))
-            np.add.at(grown, ins[:, 0] + 1, 1)
+        np.subtract.at(grown, dels[:, 0] + 1, 1)
+        np.add.at(grown, ins[:, 0] + 1, 1)
         self._install(keys, indices, self._csr.indptr + np.cumsum(grown))
 
     def validate_batch(self, batch: EdgeBatch) -> None:

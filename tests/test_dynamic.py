@@ -9,8 +9,9 @@ import pytest
 
 from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
                         ParameterError, ParseError, StateError,
-                        check_converged, dense_oracle, init, iterate_once,
-                        load_batches, run, update_batch)
+                        check_converged, dense_oracle, generate, init,
+                        iterate_once, load_batches, ranking_result, run,
+                        update_batch)
 
 from katzbounds.engine import default_iteration_cap
 
@@ -26,16 +27,54 @@ def fresh_to_depth(g: Graph, st):
     return other
 
 
-def assert_state_matches(st, fresh, rel=1e-12):
+def assert_state_matches(st, fresh):
+    """Levels, partial sums and bounds bitwise equal to the fresh run's."""
     assert len(st.levels) == len(fresh.levels)
     for mine, theirs in zip(st.levels, fresh.levels):
-        np.testing.assert_allclose(mine, theirs, rtol=rel, atol=rel)
-    np.testing.assert_allclose(st.katz, fresh.katz, rtol=rel, atol=rel)
-    np.testing.assert_allclose(st.lower, fresh.lower, rtol=rel, atol=rel)
-    np.testing.assert_allclose(st.upper, fresh.upper, rtol=rel, atol=rel)
+        np.testing.assert_array_equal(mine, theirs)
+    np.testing.assert_array_equal(st.katz, fresh.katz)
+    np.testing.assert_array_equal(st.lower, fresh.lower)
+    np.testing.assert_array_equal(st.upper, fresh.upper)
 
 
-# ---- correctness of the delta propagation ----
+# ---- exactness against fresh runs ----
+
+def bitwise_graph(kind: str) -> Graph:
+    if kind == "grid":
+        return builders.grid(64, 64)
+    edges = np.array(generate("rmat", 2**12, seed=3))
+    if kind == "rmat-undirected":
+        return Graph.from_edges(2**12, edges, undirected=True)
+    flip = np.random.default_rng(5).random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return Graph.from_edges(2**12, edges)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["rmat-undirected", "rmat-directed", "grid"])
+def test_update_rounds_bitwise_equal_fresh(kind, theta):
+    """The bitwise form of acceptance gate 6: after every batch of
+    delete/re-insert rounds of 1, 10 and 100 edges, levels, partial sums
+    and bounds equal a fresh run's bit for bit, and so does the top-25
+    order, ties included."""
+    g = bitwise_graph(kind)
+    undirected = kind != "rmat-directed"
+    st = init(g, Criterion.top_k(25, 1e-6), undirected=undirected)
+    run(st, g)
+    rng = random.Random(11)
+    for size in (1, 10, 100, 1, 10, 100):
+        arcs = [(u, v) for u, v in g.arcs() if u < v or not undirected]
+        edit = rng.sample(arcs, size)
+        if undirected:
+            edit += [(v, u) for u, v in edit]
+        for batch in (EdgeBatch(deletions=edit), EdgeBatch(insertions=edit)):
+            update_batch(st, g, batch, theta=theta)
+            fresh = fresh_to_depth(g, st)
+            assert_state_matches(st, fresh)
+            assert ranking_result(st).top(25) == ranking_result(fresh).top(25)
+
+
+# ---- correctness of the level recomputation ----
 
 def test_single_insertion_matches_fresh():
     g = builders.path(6)
@@ -269,7 +308,6 @@ def test_topk_reactivates_displaced_nodes():
     assert check_converged(st)
     # fresh run on the mutated graph agrees on the winners
     fresh = init(g, Criterion.top_k(2, 1e-6), alpha=0.05, undirected=True)
-    from katzbounds import ranking_result
     res_fresh = run(fresh, g)
     res_dyn = ranking_result(st)
     assert res_dyn.top(2) == res_fresh.top(2)

@@ -141,19 +141,27 @@ def assert_same_matrix(g: Graph, h: Graph) -> None:
     assert g.arc_count == h.arc_count
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_spliced_csr_equals_fresh_build(seed):
+@pytest.mark.parametrize("seed, max_ops", [
+    (1, 8), (2, 8), (3, 8), (1, 600), (2, 600), (3, 600)],
+    ids=["1", "2", "3", "1-large", "2-large", "3-large"])
+def test_spliced_csr_equals_fresh_build(seed, max_ops):
+    # max_ops=8 splices by slices, 600 by np.delete/np.insert as well
     rng = random.Random(seed)
-    g = builders.er_graph(30, 0.15, seed=seed, undirected=False)
+    g = builders.er_graph(60, 0.3, seed=seed, undirected=False)
+    sizes = []
     for _ in range(4):
-        g.apply_batch(builders.random_batch(g, rng, max_ops=8))
-        assert_same_matrix(g, Graph.from_edges(30, list(g.arcs())))
+        batch = builders.random_batch(g, rng, max_ops=max_ops)
+        sizes.append(len(batch))
+        g.apply_batch(batch)
+        assert_same_matrix(g, Graph.from_edges(60, list(g.arcs())))
+    cutoff = graph.SPLICE_BY_SLICES
+    assert (max(sizes) > cutoff) == (max_ops > cutoff)
     # emptying the widest row lowers the max degree
     hub = int(np.argmax(g.out_degrees()))
     g.apply_batch(EdgeBatch(
         insertions=[(hub, hub)] if not g.has_arc(hub, hub) else [],
         deletions=[(hub, v) for v in g.out_neighbors(hub) if v != hub]))
-    assert_same_matrix(g, Graph.from_edges(30, list(g.arcs())))
+    assert_same_matrix(g, Graph.from_edges(60, list(g.arcs())))
 
 
 def test_batch_symmetry_probe():
