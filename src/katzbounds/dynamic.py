@@ -190,7 +190,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     affected[ins[:, 0]] = affected[dels[:, 0]] = True
     sources = np.flatnonzero(affected)
     stats.seeds = int(sources.size)
-    g.apply_batch(batch)
+    g._apply_validated(batch)  # validated above, once
     state.graph_version = g.version
     _recompute_levels(state, g, sources, affected, theta, stats)
 

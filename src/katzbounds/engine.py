@@ -128,10 +128,13 @@ class KatzState:
 
     levels[i] holds alpha^i * walk_count_i per node (levels[0] is all
     ones), katz the partial sum of levels 1..r, and lower/upper the
-    current certified bounds. `active` is the ordered id array of nodes
-    still contending for the requested ranking; it only ever shrinks
-    during a static run. `derived_cap` is True when max_iterations came
-    from default_iteration_cap rather than from the caller.
+    current certified bounds, rewritten in place by refresh_bounds.
+    `active` is the ordered id array of nodes still contending for the
+    requested ranking; it only ever shrinks during a static run. A
+    ranking check that finds a witness of non-convergence leaves it in
+    the previous order, which need not be sorted by the current bounds.
+    `derived_cap` is True when max_iterations came from
+    default_iteration_cap rather than from the caller.
     """
 
     __slots__ = ("n", "params", "criterion", "undirected", "r", "levels",
@@ -181,12 +184,20 @@ class KatzState:
         self.params = replace(self.params, gamma=gamma)
 
     def refresh_bounds(self) -> None:
-        """Set lower/upper from the partial sums and level r."""
-        tail = self.alpha * self.levels[self.r]
+        """Set lower/upper from the partial sums and level r, in place.
+
+        lower = katz (+ tail undirected), upper = katz + tail * gamma with
+        tail = alpha * level r; upper holds the tail while lower is set.
+        """
+        tail = np.multiply(self.levels[self.r], self.alpha, out=self.upper)
         # Undirected, every walk of length r extends by retracing its last
         # edge, so the next term is at least alpha * level r.
-        self.lower = self.katz + tail if self.undirected else self.katz.copy()
-        self.upper = self.katz + tail * self.gamma
+        if self.undirected:
+            np.add(self.katz, tail, out=self.lower)
+        else:
+            np.copyto(self.lower, self.katz)
+        np.multiply(tail, self.gamma, out=tail)
+        np.add(self.katz, tail, out=self.upper)
 
     # ---- parallel matvec ----
 
@@ -314,7 +325,8 @@ def iterate_once(state: KatzState, g: Graph) -> None:
     if g.version != state.graph_version:
         raise StateError(
             "graph changed since init; static iteration would be unsound")
-    state.levels.append(state.alpha * state._matvec(g, state.levels[-1]))
+    level = state._matvec(g, state.levels[-1])
+    state.levels.append(np.multiply(level, state.alpha, out=level))
     state.r += 1
     state.katz += state.levels[-1]
     state.refresh_bounds()
@@ -337,6 +349,18 @@ def check_converged(state: KatzState) -> bool:
     For the ranking/topk rules the active set is partially sorted by
     descending lower bound, nodes provably outside the top k are dropped
     and the surviving prefix is tested for pairwise separation.
+
+    The ranking rule first looks for a witness in the previous order,
+    O(n) and without sorting: adjacent active nodes a, b with
+    max(lower[a], lower[b]) <= min(upper[a], upper[b]) - eps. It then
+    returns False and leaves `active` as it was. This is the answer the
+    sort would give. Say a ranks before b in the sorted order and x is the
+    node just above b there (possibly a): lower[x] <= lower[a], which is
+    at most min(upper[a], upper[b]) - eps as computed. Rounding x - eps
+    is monotone in x, so that is at most upper[b] - eps as computed, and
+    the adjacent-pair test fails for (x, b). Without a witness the sort
+    runs, so the converged iteration, the final order and the bounds are
+    those of checking every iteration with the sort.
     """
     if state.r < 1:
         raise StateError("check_converged needs at least one iteration")
@@ -356,6 +380,12 @@ def check_converged(state: KatzState) -> bool:
     k = state.n if kind == RANKING else state.criterion.k
     m = state.active
     lowers = state.lower[m]
+    if kind == RANKING:
+        uppers = state.upper[m]
+        bottom = np.minimum(uppers[:-1], uppers[1:])
+        bottom -= eps
+        if (np.maximum(lowers[:-1], lowers[1:]) <= bottom).any():
+            return False  # a witness; see above
     if m.size > k:
         # Any k nodes bound the k-th largest lower bound from below, so
         # only nodes at or above the least of the first k can be in the
@@ -438,12 +468,13 @@ def _separated_fraction(state: KatzState, ascending_lower: np.ndarray) -> float:
     if n < 2:
         return 1.0
     # For each node, count lower bounds strictly above its upper bound.
-    # The sum does not depend on the needles' order, and sorted needles
-    # make the binary searches cache-friendly.
-    not_above = np.searchsorted(ascending_lower, np.sort(state.upper),
-                                side="right")
-    total = n * n - int(not_above.sum())
-    return total / (n * (n - 1) // 2)
+    # Merging the two sorted arrays (a stable sort of two sorted runs),
+    # the j-th smallest upper bound lands at j plus the number of lower
+    # bounds at or below it: stability puts lowers first on equal values.
+    both = np.concatenate([ascending_lower, np.sort(state.upper)])
+    merged = np.argsort(both, kind="stable")
+    not_above = int(np.flatnonzero(merged >= n).sum()) - n * (n - 1) // 2
+    return (n * n - not_above) / (n * (n - 1) // 2)
 
 
 def descending_order(values: np.ndarray, ids: np.ndarray) -> np.ndarray:

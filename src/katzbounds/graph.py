@@ -234,13 +234,17 @@ class Graph:
     # ---- mutation ----
 
     def apply_batch(self, batch: EdgeBatch) -> None:
-        """Atomically delete then insert; validates everything first.
+        """Atomically delete then insert; validates everything first."""
+        self.validate_batch(batch)
+        self._apply_validated(batch)
+
+    def _apply_validated(self, batch: EdgeBatch) -> None:
+        """apply_batch for a batch validate_batch has already passed.
 
         The stored arrays are spliced, not rebuilt: keys and column
         indices lose and gain entries at the same positions, and the row
         pointer follows from the per-row count changes.
         """
-        self.validate_batch(batch)
         n, keys, indices = self._n, self._keys, self._csr.indices
         dels, ins = arc_array(batch.deletions), arc_array(batch.insertions)
         gone = np.sort(np.searchsorted(keys, _arc_keys(*dels.T, n)))

@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
-                        ParameterError, ParseError, StateError,
+from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
+                        EdgeBatch, Graph, NodeRangeError, ParameterError,
+                        ParseError, StateError,
                         check_converged, dense_oracle, generate, init,
                         iterate_once, load_batches, ranking_result, run,
                         update_batch)
@@ -287,6 +288,55 @@ def test_update_validates_batch_against_graph():
     missing = EdgeBatch(insertions=[], deletions=[(0, 3), (3, 0)])
     with pytest.raises(Exception):
         update_batch(st, g, missing)
+
+
+def test_update_validates_each_batch_once(monkeypatch):
+    g = builders.cycle(12)
+    st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
+    run(st, g)
+    calls = []
+    validate = Graph.validate_batch
+
+    def counting(self, batch):
+        calls.append(batch)
+        validate(self, batch)
+
+    monkeypatch.setattr(Graph, "validate_batch", counting)
+    batch = EdgeBatch(insertions=[(0, 6), (6, 0)], deletions=[(0, 1), (1, 0)])
+    update_batch(st, g, batch)
+    assert calls == [batch]
+    assert_state_matches(st, fresh_to_depth(g, st))
+
+
+@pytest.mark.parametrize("batch, error", [
+    (EdgeBatch(deletions=[(0, 6), (6, 0)]), BatchPreconditionError),
+    (EdgeBatch(insertions=[(0, 1), (1, 0)]), BatchPreconditionError),
+    (EdgeBatch(insertions=[(0, 12), (12, 0)]), NodeRangeError),
+    (EdgeBatch(insertions=[(0, 6)]), ParameterError),
+    (EdgeBatch(insertions=[(0, v) for v in range(3, 10)]
+               + [(v, 0) for v in range(3, 10)]), ParameterError),
+])
+def test_rejected_batch_leaves_graph_and_state_untouched(batch, error):
+    g = builders.cycle(12)
+    st = init(g, Criterion.top_k(3, 1e-6), alpha=0.2, undirected=True)
+    run(st, g)
+    version, arcs = g.version, list(g.arcs())
+    A = g.out_csr()
+    saved = {name: np.copy(getattr(st, name))
+             for name in ("katz", "lower", "upper", "active")}
+    levels = [lvl.copy() for lvl in st.levels]
+    depth, cap, stats = st.r, st.max_iterations, st.last_update_stats
+    with pytest.raises(error):
+        update_batch(st, g, batch)
+    assert g.version == st.graph_version == version
+    assert list(g.arcs()) == arcs and g.out_csr() is A
+    for name, value in saved.items():
+        np.testing.assert_array_equal(getattr(st, name), value)
+    assert len(st.levels) == len(levels)
+    for mine, orig in zip(st.levels, levels):
+        np.testing.assert_array_equal(mine, orig)
+    assert (st.r, st.max_iterations) == (depth, cap)
+    assert st.last_update_stats is stats
 
 
 # ---- reactivation ----

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from katzbounds import (ConvergenceError, Criterion, Graph, KatzState,
-                        ParameterError, StateError, check_converged,
-                        default_alpha, dense_oracle, epsilon_separated,
-                        generate, init, iterate_once, ranking_result, run,
-                        separated_fraction, tail_gamma, validate_alpha)
+from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
+                        KatzState, ParameterError, StateError,
+                        check_converged, default_alpha, dense_oracle,
+                        epsilon_separated, generate, init, iterate_once,
+                        ranking_result, run, separated_fraction, tail_gamma,
+                        update_batch, validate_alpha)
 from katzbounds.engine import descending_order
 
 import builders
@@ -332,6 +333,39 @@ def test_epsilon_separated_is_strict_at_the_boundary():
     assert epsilon_separated(st, 1, 2)
 
 
+@pytest.mark.parametrize("undirected", [True, False])
+def test_refresh_bounds_matches_allocating_formula(undirected):
+    g = rmat_graph(undirected)
+    st = init(g, Criterion.score(1e-9), undirected=undirected)
+    lower, upper = st.lower, st.upper
+    for _ in range(6):
+        iterate_once(st, g)
+        tail = st.alpha * st.levels[st.r]
+        expected_lower = st.katz + tail if undirected else st.katz.copy()
+        np.testing.assert_array_equal(st.lower, expected_lower)
+        np.testing.assert_array_equal(st.upper, st.katz + tail * st.gamma)
+        # written in place, never aliasing the partial sums or a level
+        assert st.lower is lower and st.upper is upper
+        for arr in [st.katz] + st.levels:
+            assert not np.shares_memory(arr, lower)
+            assert not np.shares_memory(arr, upper)
+
+
+def test_ranking_result_keeps_its_bounds():
+    g = builders.er_graph(40, 0.15, seed=2)
+    st = init(g, Criterion.top_k(3, 1e-4), undirected=True)
+    res = run(st, g)
+    lower, upper = res.lower.copy(), res.upper.copy()
+    iterate_once(st, g)
+    assert not np.array_equal(st.lower, lower)
+    arc = next((u, v) for u in range(40) for v in range(u + 1, 40)
+               if not g.has_arc(u, v))
+    update_batch(st, g, EdgeBatch(insertions=[arc, arc[::-1]]))
+    iterate_once(st, g)
+    np.testing.assert_array_equal(res.lower, lower)
+    np.testing.assert_array_equal(res.upper, upper)
+
+
 # ---- separated fraction ----
 
 def test_separated_fraction_star():
@@ -354,14 +388,33 @@ def test_separated_fraction_matches_quadratic_count():
     for g, undirected in graphs:
         st = init(g, Criterion.score(1e-5), undirected=undirected)
         run(st, g)
-        n = g.node_count
-        brute = 0
-        for v in range(n):
-            for w in range(n):
-                if v != w and st.lower[w] > st.upper[v]:
-                    brute += 1
-        assert separated_fraction(st) == brute / (n * (n - 1) // 2)
+        assert separated_fraction(st) == quadratic_separated_fraction(st)
         assert ranking_result(st).separated_fraction == separated_fraction(st)
+    # Walks end, so the bounds meet: lower = upper for every node, and
+    # nodes with equal scores give lower(w) == upper(v) for w != v. The
+    # grid's arcs point right and down, and mirrored cells tie exactly;
+    # the star's hub points at its leaves, which all score 0.
+    grid = Graph.from_edges(64, [(u, v) for u, v in builders.grid(8, 8).arcs()
+                                 if u < v])
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    for g in (grid, star, Graph.from_edges(5, [])):
+        st = init(g, Criterion.score(1e-300))
+        run(st, g)
+        np.testing.assert_array_equal(st.lower, st.upper)
+        assert np.unique(st.lower).size < g.node_count
+        assert separated_fraction(st) == quadratic_separated_fraction(st)
+        assert ranking_result(st).separated_fraction == separated_fraction(st)
+    assert separated_fraction(st) == 0.0
+
+
+def quadratic_separated_fraction(st):
+    n = st.n
+    brute = 0
+    for v in range(n):
+        for w in range(n):
+            if v != w and st.lower[w] > st.upper[v]:
+                brute += 1
+    return brute / (n * (n - 1) // 2)
 
 
 def test_separated_fraction_tiny_graphs():
@@ -445,13 +498,24 @@ def lexsort_separated_fraction(state):
     return int(above.sum()) / (n * (n - 1) // 2)
 
 
-@pytest.mark.parametrize("undirected", [True, False])
-def test_run_matches_lexsort_reference(undirected):
-    n = 2 ** 12
-    edges = generate("rmat", n, seed=12)
+def rmat_edges(undirected: bool) -> list:
+    """rmat 2^12 (seed 12); directed, each edge keeps a random direction."""
+    edges = generate("rmat", 2 ** 12, seed=12)
     if not undirected:
         flip = np.random.default_rng(3).random(len(edges)) < 0.5
         edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flip)]
+    return edges
+
+
+def rmat_graph(undirected: bool) -> Graph:
+    return Graph.from_edges(2 ** 12, rmat_edges(undirected),
+                            undirected=undirected)
+
+
+@pytest.mark.parametrize("undirected", [True, False])
+def test_run_matches_lexsort_reference(undirected):
+    n = 2 ** 12
+    edges = rmat_edges(undirected)
     g = Graph.from_edges(n, edges, undirected=undirected)
     for crit in (Criterion.ranking(), Criterion.top_k(25),
                  Criterion.pair(int(edges[0][0]), n - 1), Criterion.score()):
@@ -481,3 +545,59 @@ def test_threads_bitwise_identical():
     np.testing.assert_array_equal(r1.lower, r8.lower)
     np.testing.assert_array_equal(r1.upper, r8.upper)
     np.testing.assert_array_equal(r1.order, r8.order)
+
+
+# ---- ranking witness ----
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("case", ["rmat-undirected", "rmat-directed", "grid",
+                                  "star"])
+def test_ranking_check_agrees_with_reference_every_iteration(case, eps):
+    undirected = case != "rmat-directed"
+    if case.startswith("rmat"):
+        g = rmat_graph(undirected)
+    else:
+        g = builders.grid(64, 64) if case == "grid" else builders.star(200)
+    st = init(g, Criterion.ranking(eps), undirected=undirected)
+    ref = init(g, Criterion.ranking(eps), undirected=undirected)
+    while True:
+        iterate_once(st, g)
+        iterate_once(ref, g)
+        done = check_converged(st)
+        assert done == lexsort_check_converged(ref), st.r
+        if done:
+            break
+        assert st.r < st.max_iterations
+    np.testing.assert_array_equal(st.active, ref.active)
+
+
+def witness_state(lower, upper, active, eps):
+    """A ranking state after one iteration, given bounds and order."""
+    g = Graph.from_edges(len(lower), [])
+    st = init(g, Criterion.ranking(eps))
+    iterate_once(st, g)
+    st.lower[:], st.upper[:] = lower, upper
+    st.active = np.array(active, dtype=np.int64)
+    return st
+
+
+def test_ranking_witness_boundary():
+    # Dyadic values, so every comparison is exact. Node 0 holds [0.5, 1]
+    # and ranks first; the previous order lists node 1 first.
+    eps = 0.25
+    # Overlap of exactly eps: 0.5 <= 0.75 - 0.25 is a witness, and the
+    # order is left as it was. The sorted order agrees: 0.75 - 0.25 < 0.5
+    # fails.
+    st = witness_state([0.5, 0.25], [1.0, 0.75], [1, 0], eps)
+    assert not check_converged(st)
+    assert st.active.tolist() == [1, 0]
+    assert not lexsort_check_converged(st)
+    # Overlap below eps: 0.5 > 0.625 - 0.25, no witness; the sort runs,
+    # orders the nodes and finds them separated.
+    st = witness_state([0.5, 0.25], [1.0, 0.625], [1, 0], eps)
+    assert check_converged(st)
+    assert st.active.tolist() == [0, 1]
+    # Equal bounds separate in both directions and are no witness.
+    st = witness_state([0.5, 0.5], [0.5, 0.5], [1, 0], eps)
+    assert check_converged(st)
+    assert st.active.tolist() == [0, 1]

@@ -110,10 +110,13 @@ def test_batch_shape_rejects_overlap():
 
 def test_validate_batch_against_graph():
     g = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(BatchPreconditionError):
-        g.validate_batch(EdgeBatch(insertions=[(0, 1)], deletions=[]))
-    with pytest.raises(BatchPreconditionError):
-        g.validate_batch(EdgeBatch(insertions=[], deletions=[(1, 2)]))
+    version = g.version
+    for check in (g.validate_batch, g.apply_batch):
+        with pytest.raises(BatchPreconditionError):
+            check(EdgeBatch(insertions=[(0, 1)], deletions=[]))
+        with pytest.raises(BatchPreconditionError):
+            check(EdgeBatch(insertions=[], deletions=[(1, 2)]))
+    assert g.version == version and list(g.arcs()) == [(0, 1)]
     g.validate_batch(EdgeBatch(insertions=[(1, 2)], deletions=[(0, 1)]))
 
 
