@@ -1,26 +1,24 @@
 """Incremental maintenance of a converged bounded-Katz state.
 
-An update applies the batch to the graph, then recomputes level by level
-only the rows whose value can have changed. Level i of node v is alpha
-times the sum of level i-1 over v's out-neighbors, so it can change only
-if v is a source of a batch arc or an out-neighbor of v changed at level
-i-1. The rows are summed from the post-batch graph in the order the full
-matrix product sums them, so levels, partial sums, bounds and the node
-order, ties included, are bitwise those of a fresh run. The affected set
-grows by one reverse step per level, which keeps small updates local;
-once it holds more than a theta share of the nodes, each remaining level
-is one product with the whole matrix.
+An update applies the batch to the graph, then recomputes the walk
+levels on the post-batch graph. Level i of node v is alpha times the sum
+of level i-1 over v's out-neighbors, so it can change only if v is a
+source of a batch arc or an out-neighbor of v changed at level i-1. The
+rows that can change at level i therefore lie in B_{i-1}, the ball of
+nodes within i-1 reverse steps of the batch sources. A node that lost
+an out-arc is a source, so the post-batch graph gives the same ball.
 
-A local level gathers its rows' arcs from the CSR arrays and sums them
-with np.bincount, which adds in arc order from 0.0 as scipy's product
-does. When the rows hold more than a quarter of all arcs, the level is
-one whole-matrix product instead. When the nodes changed at the previous
-level have more than a quarter of all in-arcs, their in-neighbors are
-not gathered either: the nonzeros of the product of the whole matrix
-with an indicator of those nodes are exactly the rows, and the level is
-one more whole-matrix product. This is the choice direction-optimizing
-BFS makes between pushing from a small frontier and sweeping the whole
-graph.
+A row recomputed on the post-batch graph from an exact level i-1 is
+bitwise the fresh value, whether or not it changed: scipy's product sums
+each row of a row subset of the matrix in arc order from 0.0, as the
+whole product does. So recomputing any superset of the rows that can
+change is exact, and levels, partial sums, bounds and the node order,
+ties included, are bitwise those of a fresh run. The update grows the
+ball by one shell per level and takes the last ball whose rows hold at
+most a quarter of all arcs, B_{s-1}: levels 1..s are one product each
+of the matrix's rows in that ball, levels s+1..r whole products. Once
+the ball holds more than a theta share of the nodes, it stops growing
+and the update falls back: every partial sum is summed again.
 """
 from __future__ import annotations
 
@@ -39,9 +37,10 @@ from .graph import EdgeBatch, Graph, arc_array
 class UpdateStats:
     """Instrumentation for one batch update.
 
-    `matvecs` counts passes over the whole matrix (fallback levels,
-    whole-matrix local levels and resumed iterations); `pushed_arcs`
-    counts the arcs read by the row kernel.
+    `matvecs` counts passes over the whole matrix (whole levels,
+    indicator products that find a large shell's in-neighbors, and
+    resumed iterations); `pushed_arcs` counts the arcs multiplied by
+    row-subset products, the subset's arcs times the levels it computes.
     """
 
     batch_size: int = 0
@@ -55,10 +54,14 @@ class UpdateStats:
     pushed_arcs: int = 0
 
 
-# A local level whose rows, or whose previous level's changed nodes, hold
-# more than this share of all arcs makes whole-matrix passes. On rmat
-# 2^16 the row kernel costs about 11 ns per arc read, a product 1.3 ns per
-# arc of the matrix.
+# A ball whose rows hold more than this share of all arcs is computed by
+# whole-matrix products. A shell whose in-arcs exceed this share of the
+# arcs finds its in-neighbors with one product, and one whose in-arcs
+# exceed this share of the nodes deduplicates them on a node mask. On
+# rmat 2^16 a gather costs about 6 ns per arc read, a product about 2 ns
+# per arc of the matrix. The mask scan beats the per-candidate dedupe
+# from about n / 16 candidates; a quarter keeps it off the small shells
+# of local updates.
 LARGE_FRONTIER_SHARE = 0.25
 
 
@@ -76,63 +79,56 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
                       stats: UpdateStats) -> None:
     """Bring levels 1..r up to date with g, the batch already applied.
 
-    `affected` marks the sources on entry and every recomputed row on
-    exit. A level's rows are the sources plus the in-neighbors of the
-    nodes changed at the level before; since in-arcs before the batch
-    plus sources equal in-arcs after it plus sources, g serves both.
+    `affected` marks the sources on entry and, on exit, the ball of the
+    last level before any abort. Level i recomputes B_{i-1}; the theta
+    test before it counts B_{i-2} (B_0 at level 1), the rows of the
+    levels before it.
     """
     alpha, n, A = state.alpha, state.n, g.out_csr()
     share = LARGE_FRONTIER_SHARE * A.nnz
-    mark = np.zeros(n, dtype=bool)
-    changed = nbrs = np.empty(0, dtype=np.int64)
+    slot = np.empty(n, dtype=np.intp)
+    shells, size, arcs, small = [sources], sources.size, 0, 0
     for level in range(1, state.r + 1):
-        w_prev, old = state.levels[level - 1], state.levels[level]
-        size = int(np.count_nonzero(affected))
-        if stats.aborted_level is not None or size > theta * n:
-            stats.aborted_level = stats.aborted_level or level
-            state.levels[level] = alpha * state._matvec(g, w_prev)
-            stats.matvecs += 1
-            continue
+        if size > theta * n:
+            stats.aborted_level = level
+            break
         stats.level_sizes.append(size)
-        new = None  # the whole level, once a whole-matrix pass gave it
-        if nbrs is None:
+        if level > 1:  # grow B_{level-2} by one reverse step
             rev = A if state.undirected else g.in_csr()
-            counts = rev.indptr[changed + 1] - rev.indptr[changed]
+            front = shells[-1]
+            counts = rev.indptr[front + 1] - rev.indptr[front]
             if counts.sum() > share:
-                # A row of A @ indicator counts the changed out-neighbors,
-                # so its nonzeros are exactly the in-neighbors of `changed`.
+                # A row of A @ indicator counts the row's arcs into the
+                # shell, so its nonzeros are the shell's in-neighbors.
                 hit = np.zeros(n)
-                hit[changed] = 1.0
-                nbrs = np.flatnonzero(A @ hit > 0)
-                new = alpha * state._matvec(g, w_prev)
-                stats.matvecs += 2
-            else:
-                nbrs = _row_arcs(rev, changed, counts)
-        mark[sources] = mark[nbrs] = True
-        rows = np.flatnonzero(mark)
-        mark[rows] = False
-        affected[rows] = True
-        nbrs = None
-        if new is None:
-            counts = A.indptr[rows + 1] - A.indptr[rows]
-            if counts.sum() > share:
-                new = alpha * state._matvec(g, w_prev)
+                hit[front] = 1.0
+                new = np.flatnonzero((A @ hit > 0) & ~affected)
                 stats.matvecs += 1
-        if new is not None:
-            changed = rows[new[rows] != old[rows]]
-            state.levels[level] = new
-            continue
-        cols = _row_arcs(A, rows, counts)
-        stats.pushed_arcs += cols.size
-        owner = np.repeat(np.arange(rows.size), counts)
-        new_rows = alpha * np.bincount(owner, weights=w_prev[cols],
-                                       minlength=rows.size)
-        moved = new_rows != old[rows]
-        old[rows] = new_rows
-        changed = rows[moved]
-        if state.undirected:
-            # In-arcs are out-arcs: those of the changed rows, already read.
-            nbrs = cols[moved[owner]]
+            elif counts.sum() > LARGE_FRONTIER_SHARE * n:
+                hit = np.zeros(n, dtype=bool)
+                hit[_row_arcs(rev, front, counts)] = True
+                new = np.flatnonzero(hit & ~affected)
+            else:
+                nbrs = _row_arcs(rev, front, counts)
+                nbrs = nbrs[~affected[nbrs]]
+                slot[nbrs] = np.arange(nbrs.size)  # the last copy wins
+                new = nbrs[slot[nbrs] == np.arange(nbrs.size)]
+            affected[new] = True
+            shells.append(new)
+            size += new.size
+        if small == level - 1:
+            arcs += (A.indptr[shells[-1] + 1] - A.indptr[shells[-1]]).sum()
+            if arcs <= share:
+                small = level
+    if small:
+        rows = np.sort(np.concatenate(shells[:small]))
+        sub = A[rows]
+        stats.pushed_arcs = sub.nnz * small
+        for level in range(1, small + 1):
+            state.levels[level][rows] = alpha * (sub @ state.levels[level - 1])
+    for level in range(small + 1, state.r + 1):
+        state.levels[level] = alpha * state._matvec(g, state.levels[level - 1])
+    stats.matvecs += state.r - small
 
 
 def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
@@ -234,10 +230,10 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
 def load_batches(source) -> list[EdgeBatch]:
     """Parse a batch file: lines "+ u v" or "- u v", batches separated by
     blank lines. Returns the batches in file order; an empty file yields
-    none.
+    none. `source` may be a path or an open text/binary stream.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r") as fh:
+        with open(source, "rb") as fh:
             return load_batches(fh)
 
     batches: list[EdgeBatch] = []
@@ -251,7 +247,10 @@ def load_batches(source) -> list[EdgeBatch]:
             ins, dels = [], []
 
     for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        try:
+            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        except UnicodeDecodeError:
+            raise ParseError("not valid UTF-8 text", lineno) from None
         line = line.strip()
         if not line:
             flush()

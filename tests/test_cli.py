@@ -142,6 +142,14 @@ def test_dynamic_inadmissible_batch_fails_cleanly(tmp_path, capsys, starfile):
     assert rc == 3
 
 
+def test_dynamic_batch_file_not_utf8_is_domain_error(tmp_path, capsys, tri):
+    bfile = tmp_path / "b.txt"
+    bfile.write_bytes(b"- 1 2\n- 2 1\n\n+ 1 \xff2\n")
+    rc = main(["dynamic", tri, str(bfile), "--undirected"])
+    assert rc == 3
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_compare_report(capsys, tri):
     doc = run_json(capsys, ["compare", tri, "--undirected"])
     methods = {m["method"]: m for m in doc["methods"]}

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
                         iterate_once, load_batches, ranking_result, run,
                         update_batch)
 
+from katzbounds.dynamic import LARGE_FRONTIER_SHARE
 from katzbounds.engine import default_iteration_cap
 
 import builders
@@ -40,15 +42,15 @@ def assert_state_matches(st, fresh):
 
 # ---- exactness against fresh runs ----
 
-def bitwise_graph(kind: str) -> Graph:
+def bitwise_graph(kind: str, nodes: int = 2**12) -> Graph:
     if kind == "grid":
         return builders.grid(64, 64)
-    edges = np.array(generate("rmat", 2**12, seed=3))
+    edges = np.array(generate("rmat", nodes, seed=3))
     if kind == "rmat-undirected":
-        return Graph.from_edges(2**12, edges, undirected=True)
+        return Graph.from_edges(nodes, edges, undirected=True)
     flip = np.random.default_rng(5).random(len(edges)) < 0.5
     edges[flip] = edges[flip, ::-1]
-    return Graph.from_edges(2**12, edges)
+    return Graph.from_edges(nodes, edges)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
@@ -486,22 +488,57 @@ def reverse_bfs_sizes(g: Graph, batch: EdgeBatch, depth: int) -> list[int]:
     return sizes
 
 
+def level_cases(directed: bool):
+    """(graph maker, batch, alpha): the hub graph, then an 8x8 grid or a
+    directed rmat 2^10 graph. A maker, since the update mutates g."""
+    arcs = [(0, 35)] if directed else [(0, 35), (35, 0)]
+    yield partial(hub_graph, directed), EdgeBatch(insertions=arcs), 0.02
+    if directed:
+        make = partial(bitwise_graph, "rmat-directed", 2**10)
+        yield make, EdgeBatch(deletions=[next(iter(make().arcs()))]), None
+    else:
+        batch = EdgeBatch(insertions=[(0, 2), (2, 0)])
+        yield partial(builders.grid, 8, 8), batch, None
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_large_frontier_levels_match_fresh(directed):
-    arcs = [(0, 35)] if directed else [(0, 35), (35, 0)]
-    batch = EdgeBatch(insertions=arcs)
     g = hub_graph(directed)
     # level 2 pushes along the hub's 30 in-arcs, over a quarter of them
     assert g.in_degree(0) > g.arc_count / 4
-    st = init(g, Criterion.score(1e-10), alpha=0.02,
-              undirected=not directed)
+    for make, batch, alpha in level_cases(directed):
+        g = make()
+        st = init(g, Criterion.score(1e-10), alpha=alpha,
+                  undirected=not directed)
+        run(st, g)
+        update_batch(st, g, batch, theta=1.0)
+        stats = st.last_update_stats
+        assert stats.aborted_level is None
+        assert stats.matvecs > stats.resumed_iterations
+        assert stats.level_sizes == reverse_bfs_sizes(
+            make(), batch, len(stats.level_sizes))
+        assert_state_matches(st, fresh_to_depth(g, st))
+
+
+def test_ball_past_the_arc_share_is_recomputed_whole():
+    """On an 8x8 grid at theta=1.0 the ball holds more than the arc share
+    before level r. Levels 1..small then multiply the rows of
+    B_{small-1}, more rows than can change at the early levels, and the
+    later levels are whole products; the state is still bitwise fresh."""
+    g = builders.grid(8, 8)
+    st = init(g, Criterion.score(1e-10), undirected=True)
     run(st, g)
-    update_batch(st, g, batch, theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 2), (2, 0)]), theta=1.0)
     stats = st.last_update_stats
+    balls, ball = [], {0, 2}
+    for _ in stats.level_sizes:
+        balls.append(ball)
+        ball = ball | {w for u in ball for w in g.in_neighbors(u)}
+    arcs = [sum(g.out_degree(v) for v in b) for b in balls]
+    small = sum(a <= LARGE_FRONTIER_SHARE * g.arc_count for a in arcs)
+    assert 0 < small < len(stats.level_sizes)
     assert stats.aborted_level is None
-    assert stats.matvecs > stats.resumed_iterations
-    assert stats.level_sizes == reverse_bfs_sizes(
-        hub_graph(directed), batch, len(stats.level_sizes))
+    assert stats.pushed_arcs == arcs[small - 1] * small
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
@@ -529,6 +566,9 @@ def test_load_batches_errors_carry_line():
         load_batches(io.StringIO("+ 0\n"))
     with pytest.raises(ParseError):
         load_batches(io.StringIO("- 0 -1\n"))
+    with pytest.raises(ParseError) as exc:
+        load_batches(io.BytesIO(b"+ 0 1\n\n- 1 \xff\n"))
+    assert exc.value.line == 3
 
 
 def test_load_batches_from_path(tmp_path):
