@@ -29,8 +29,9 @@ from scipy import sparse
 
 from .engine import (RANKING, TOPK, KatzState, check_converged,
                      default_iteration_cap, iterate_once, tail_gamma)
-from .errors import ConvergenceError, ParameterError, ParseError, StateError
-from .graph import EdgeBatch, Graph, arc_array
+from .errors import (ConvergenceError, NodeRangeError, ParameterError,
+                     ParseError, StateError)
+from .graph import MAX_NODE_ID, EdgeBatch, Graph
 
 
 @dataclass
@@ -165,7 +166,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
         raise ParameterError(
             "state is in undirected mode; batch must contain both "
             "directions of every edge")
-    ins, dels = arc_array(batch.insertions), arc_array(batch.deletions)
+    ins, dels = batch.ins, batch.dels
 
     # Admission check on the post-update degrees, before any mutation.
     degs = g.out_degrees()
@@ -265,6 +266,9 @@ def load_batches(source) -> list[EdgeBatch]:
             raise ParseError(f"non-integer node id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative node id in {line!r}", lineno)
+        if max(u, v) > MAX_NODE_ID:  # batches hold their ids as int64
+            raise NodeRangeError(f"line {lineno}: node id {max(u, v)} "
+                                 f"overflows the 32-bit id type")
         (ins if parts[0] == "+" else dels).append((u, v))
     flush()
     return batches

@@ -360,7 +360,9 @@ def check_converged(state: KatzState) -> bool:
     is monotone in x, so that is at most upper[b] - eps as computed, and
     the adjacent-pair test fails for (x, b). Without a witness the sort
     runs, so the converged iteration, the final order and the bounds are
-    those of checking every iteration with the sort.
+    those of checking every iteration with the sort. Nor does it sort an
+    active set that already is the full order, as it often is in the
+    last iteration.
     """
     if state.r < 1:
         raise StateError("check_converged needs at least one iteration")
@@ -398,7 +400,10 @@ def check_converged(state: KatzState) -> bool:
     else:
         top_pos = np.arange(m.size)
         rest_pos = np.empty(0, dtype=np.int64)
-    prefix = descending_order(state.lower, m[top_pos])
+    if kind == RANKING and _is_full_order(state.lower, m):
+        prefix = m  # what descending_order would return; k = n keeps all
+    else:
+        prefix = descending_order(state.lower, m[top_pos])
     threshold = state.lower[prefix[-1]]
     if rest_pos.size:
         rest = m[rest_pos]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import io
 import itertools
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -41,31 +40,57 @@ Arc = tuple[int, int]
 # Node ids must stay indexable by 32-bit sparse indices.
 MAX_NODE_ID = 2**31 - 1
 
+# An edge list may imply, by its NODES header or its largest id, at most
+# max(MIN_NODE_LIMIT, NODES_PER_ARC_LINE * arc lines) nodes. The graph and
+# the engine hold arrays of one entry per node, so this bounds their memory
+# by a multiple of the file's size, while small files with isolated nodes
+# still load (MIN_NODE_LIMIT nodes take 8 MiB per int64 array).
+NODES_PER_ARC_LINE = 64
+MIN_NODE_LIMIT = 1 << 20
 
-@dataclass
+
 class EdgeBatch:
     """A set of arc insertions and deletions applied as one unit.
 
     Preconditions (checked against a graph before anything mutates):
     inserted arcs must be absent, deleted arcs must be present, and the
     two lists must not overlap or contain duplicates.
+
+    The arcs are converted once, here, from (u, v) pairs or (k, 2)
+    arrays to the (k, 2) int64 arrays `ins` and `dels`, on which every
+    check runs. `insertions` and `deletions` give them back as lists of
+    int pairs.
     """
 
-    insertions: list[Arc] = field(default_factory=list)
-    deletions: list[Arc] = field(default_factory=list)
+    __slots__ = ("ins", "dels")
 
-    def __post_init__(self):
-        self.insertions = [(int(u), int(v)) for u, v in self.insertions]
-        self.deletions = [(int(u), int(v)) for u, v in self.deletions]
+    def __init__(self, insertions: Iterable[Arc] = (),
+                 deletions: Iterable[Arc] = ()):
+        self.ins = arc_array(insertions).astype(np.int64)
+        self.dels = arc_array(deletions).astype(np.int64)
+
+    @property
+    def insertions(self) -> list[Arc]:
+        return _arc_list(self.ins)
+
+    @property
+    def deletions(self) -> list[Arc]:
+        return _arc_list(self.dels)
 
     def validate_shape(self) -> None:
         """Structural checks that need no graph: duplicates and overlap."""
-        ins, dels = set(self.insertions), set(self.deletions)
-        if len(ins) != len(self.insertions):
-            dup = _first_duplicate(self.insertions)
+        keys = _pair_keys(np.concatenate([self.ins, self.dels]))
+        if keys is not None and _distinct(keys).size == keys.size:
+            return
+        # A repeat, or an id no graph can hold: the checks on the pairs
+        # name the first repeat in list order or the least overlap.
+        insertions, deletions = self.insertions, self.deletions
+        ins, dels = set(insertions), set(deletions)
+        if len(ins) != len(insertions):
+            dup = _first_duplicate(insertions)
             raise BatchPreconditionError(f"duplicate insertion of arc {dup}")
-        if len(dels) != len(self.deletions):
-            dup = _first_duplicate(self.deletions)
+        if len(dels) != len(deletions):
+            dup = _first_duplicate(deletions)
             raise BatchPreconditionError(f"duplicate deletion of arc {dup}")
         overlap = ins & dels
         if overlap:
@@ -75,12 +100,50 @@ class EdgeBatch:
 
     def is_symmetric(self) -> bool:
         """True when both lists are closed under arc reversal."""
-        ins, dels = set(self.insertions), set(self.deletions)
-        return all((v, u) in ins for u, v in ins) and \
-            all((v, u) in dels for u, v in dels)
+        return _closed_under_reversal(self.ins) and \
+            _closed_under_reversal(self.dels)
 
     def __len__(self) -> int:
-        return len(self.insertions) + len(self.deletions)
+        return len(self.ins) + len(self.dels)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.ins, other.ins) and \
+            np.array_equal(self.dels, other.dels)
+
+    def __repr__(self) -> str:
+        return (f"EdgeBatch(insertions={self.insertions!r}, "
+                f"deletions={self.deletions!r})")
+
+
+def _arc_list(arcs: np.ndarray) -> list[Arc]:
+    return list(zip(arcs[:, 0].tolist(), arcs[:, 1].tolist()))
+
+
+def _pair_keys(arcs: np.ndarray) -> np.ndarray | None:
+    """u * 2^31 + v per arc, one key per distinct arc; None when an id
+    lies outside [0, MAX_NODE_ID]. A batch has no node count, so its keys
+    cannot be u*n+v."""
+    if arcs.size and not 0 <= arcs.min() <= arcs.max() <= MAX_NODE_ID:
+        return None
+    return arcs[:, 0] << 31 | arcs[:, 1]
+
+
+def _closed_under_reversal(arcs: np.ndarray) -> bool:
+    keys = _pair_keys(arcs)
+    if keys is None:  # an id no graph can hold
+        pairs = set(_arc_list(arcs))
+        return all((v, u) in pairs for u, v in pairs)
+    return np.array_equal(_distinct(keys), _distinct(_pair_keys(arcs[:, ::-1])))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted; sorts keys in place."""
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _first_duplicate(arcs: Sequence[Arc]) -> Arc:
@@ -157,10 +220,7 @@ class Graph:
         keys = _arc_keys(src, dst, g._n)
         if undirected:
             keys = np.concatenate([keys, _arc_keys(dst, src, g._n)])
-        keys.sort()
-        unique = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=unique[1:])
-        g._set_keys(keys[unique])
+        g._set_keys(_distinct(keys))
         if undirected:
             g._symmetric = True
         return g
@@ -246,8 +306,9 @@ class Graph:
         pointer follows from the per-row count changes.
         """
         n, keys, indices = self._n, self._keys, self._csr.indices
-        dels, ins = arc_array(batch.deletions), arc_array(batch.insertions)
-        gone = np.sort(np.searchsorted(keys, _arc_keys(*dels.T, n)))
+        dels, ins = batch.dels, batch.ins
+        # Sorted needles give sorted positions, found in one forward sweep.
+        gone = np.searchsorted(keys, np.sort(_arc_keys(*dels.T, n)))
         new = np.sort(_arc_keys(*ins.T, n))
         new_indices = (new % max(n, 1)).astype(np.int32)
         if gone.size + new.size <= SPLICE_BY_SLICES:
@@ -272,15 +333,12 @@ class Graph:
         batch.validate_shape()
         n = self._n
         for arcs, present, verb, why in (
-                (batch.insertions, False, "insert", "already present"),
-                (batch.deletions, True, "delete", "not present")):
-            ok = np.array([0 <= u < n and 0 <= v < n for u, v in arcs],
-                          dtype=bool)
-            keys = np.array([u * n + v if k else -1
-                             for (u, v), k in zip(arcs, ok)], dtype=np.int64)
-            ok &= self._contains(keys) == present
+                (batch.ins, False, "insert", "already present"),
+                (batch.dels, True, "delete", "not present")):
+            ok = ((arcs >= 0) & (arcs < n)).all(axis=1)
+            ok[ok] = self._contains(_arc_keys(*arcs[ok].T, n)) == present
             if not ok.all():
-                u, v = arcs[int(np.argmin(ok))]
+                u, v = arcs[int(np.argmin(ok))].tolist()
                 self._check_node(u)
                 self._check_node(v)
                 raise BatchPreconditionError(
@@ -317,10 +375,15 @@ class Graph:
         self._version += 1
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._keys, keys)
+        """Membership of each key; searched in sorted order."""
+        order = np.argsort(keys)
+        needles = keys[order]
+        pos = np.searchsorted(self._keys, needles)
         hit = pos < self._keys.size
-        hit[hit] = self._keys[pos[hit]] == keys[hit]
-        return hit
+        hit[hit] = self._keys[pos[hit]] == needles[hit]
+        found = np.empty_like(hit)
+        found[order] = hit
+        return found
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
@@ -360,18 +423,34 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
     if parsed is None:
         parsed = _parse_lines(
             io.StringIO(text) if isinstance(text, str) else io.BytesIO(data))
-    del text, data  # lowers the build's peak memory
     declared, pairs, lines_read = parsed
     max_id = int(pairs.max()) if pairs.size else -1
     node_count = declared if declared is not None else max_id + 1
     if max_id >= node_count:
         raise NodeRangeError(
             f"node id {max_id} exceeds declared universe of {node_count}")
+    limit = max(MIN_NODE_LIMIT, NODES_PER_ARC_LINE * len(pairs))
+    if node_count > limit:
+        where = f"line {_header_line(data)}: NODES header" \
+            if declared is not None else f"node id {max_id}"
+        raise NodeRangeError(
+            f"{where} implies {node_count} nodes for {len(pairs)} arc "
+            f"lines; a file may hold at most {limit}")
+    del text, data  # lowers the build's peak memory
     self_loops = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
     g = Graph.from_edges(node_count, pairs, undirected=undirected)
     log.info("loaded edge list: %d lines, %d nodes, %d arcs, %d self-loops",
              lines_read, node_count, g.arc_count, self_loops)
     return g
+
+
+def _header_line(data: bytes) -> int:
+    """Line number of the NODES header, the first line that is neither
+    blank nor a comment."""
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
+        parts = line.split()
+        if parts and parts[0][:1] not in (b"#", b"%"):
+            return lineno
 
 
 # The tokenizer works through the text in blocks of whole lines of about

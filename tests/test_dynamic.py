@@ -569,6 +569,11 @@ def test_load_batches_errors_carry_line():
     with pytest.raises(ParseError) as exc:
         load_batches(io.BytesIO(b"+ 0 1\n\n- 1 \xff\n"))
     assert exc.value.line == 3
+    with pytest.raises(NodeRangeError) as exc:
+        load_batches(io.StringIO("+ 0 1\n\n- 2147483648 0\n"))
+    assert str(exc.value).startswith("line 3: node id 2147483648 overflows")
+    with pytest.raises(NodeRangeError):
+        load_batches(io.StringIO("+ 0 99999999999999999999\n"))
 
 
 def test_load_batches_from_path(tmp_path):

@@ -12,6 +12,7 @@ from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
                         epsilon_separated, generate, init, iterate_once,
                         ranking_result, run, separated_fraction, tail_gamma,
                         update_batch, validate_alpha)
+from katzbounds import engine
 from katzbounds.engine import descending_order
 
 import builders
@@ -601,3 +602,20 @@ def test_ranking_witness_boundary():
     st = witness_state([0.5, 0.5], [0.5, 0.5], [1, 0], eps)
     assert check_converged(st)
     assert st.active.tolist() == [0, 1]
+
+
+def test_ranking_sorts_no_active_set_that_is_already_ordered(monkeypatch):
+    # On this graph the last check finds the active set already in the
+    # final order; sorting it again would return it unchanged.
+    g = Graph.from_edges(1024, generate("rmat", 1024, seed=1), undirected=True)
+    sorted_ids = []
+
+    def spy(values, ids):
+        assert not engine._is_full_order(values, np.asarray(ids))
+        sorted_ids.append(len(ids))
+        return descending_order(values, ids)
+
+    monkeypatch.setattr(engine, "descending_order", spy)
+    result = run(init(g, Criterion.ranking(1e-6), undirected=True), g)
+    assert sorted_ids == [1024]  # one sort, in an earlier check
+    assert engine._is_full_order(result.lower, result.order)

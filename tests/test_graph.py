@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,153 @@ def test_batch_symmetry_probe():
     assert EdgeBatch(insertions=[], deletions=[]).is_symmetric()
 
 
+# The set-based batch checks the array ones replaced, for comparison.
+
+def first_duplicate_reference(arcs):
+    seen = set()
+    for a in arcs:
+        if a in seen:
+            return a
+        seen.add(a)
+    return arcs[0]
+
+
+def validate_shape_reference(insertions, deletions):
+    ins, dels = set(insertions), set(deletions)
+    if len(ins) != len(insertions):
+        dup = first_duplicate_reference(insertions)
+        raise BatchPreconditionError(f"duplicate insertion of arc {dup}")
+    if len(dels) != len(deletions):
+        dup = first_duplicate_reference(deletions)
+        raise BatchPreconditionError(f"duplicate deletion of arc {dup}")
+    overlap = ins & dels
+    if overlap:
+        arc = min(overlap)
+        raise BatchPreconditionError(
+            f"arc {arc} appears in both insertions and deletions")
+
+
+def is_symmetric_reference(insertions, deletions):
+    ins, dels = set(insertions), set(deletions)
+    return all((v, u) in ins for u, v in ins) and \
+        all((v, u) in dels for u, v in dels)
+
+
+def validate_batch_reference(g, insertions, deletions):
+    validate_shape_reference(insertions, deletions)
+    n, present_arcs = g.node_count, set(g.arcs())
+    for arcs, present, verb, why in (
+            (insertions, False, "insert", "already present"),
+            (deletions, True, "delete", "not present")):
+        for u, v in arcs:
+            if 0 <= u < n and 0 <= v < n and ((u, v) in present_arcs) == present:
+                continue
+            for x in (u, v):
+                if not 0 <= x < n:
+                    raise NodeRangeError(f"node id {x} outside universe [0, {n})")
+            raise BatchPreconditionError(f"cannot {verb} arc ({u}, {v}): {why}")
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except (BatchPreconditionError, NodeRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def random_id(rng, n):
+    if rng.random() < 0.05:
+        return rng.choice([2**31 - 1, 2**31, -2**40])
+    return rng.randint(-1, n)
+
+
+def random_arcs(rng, n, k, present, symmetric):
+    """k arcs over ids -1..n and a few far outside, drawn from the graph's
+    arcs half the time; with symmetric, each arc also reversed (before a
+    possible drop)."""
+    arcs = []
+    for _ in range(k):
+        if present and rng.random() < 0.5:
+            arcs.append(rng.choice(present))
+        else:
+            arcs.append((random_id(rng, n), random_id(rng, n)))
+        if symmetric:
+            arcs.append(arcs[-1][::-1])
+    if arcs and rng.random() < 0.2:
+        arcs.append(rng.choice(arcs))          # a duplicate
+    if arcs and rng.random() < 0.2:
+        arcs.pop(rng.randrange(len(arcs)))     # breaks the symmetry
+    rng.shuffle(arcs)
+    return arcs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_checks_match_set_references(seed):
+    rng = random.Random(seed)
+    n = 7
+    g = builders.er_graph(n, 0.3, seed=seed, undirected=seed % 2 == 0)
+    present = sorted(g.arcs())
+    kinds = {"ok": 0, "error": 0, "symmetric": 0}
+    for _ in range(400):
+        symmetric = rng.random() < 0.5
+        ins = random_arcs(rng, n, rng.randint(0, 4), [], symmetric)
+        ins = [a for a in ins if a not in present or rng.random() < 0.1]
+        dels = random_arcs(rng, n, rng.randint(0, 4), present, symmetric)
+        if ins and rng.random() < 0.1:
+            dels.append(rng.choice(ins))       # an overlap
+        batch = EdgeBatch(insertions=ins, deletions=dels)
+        want = outcome(validate_shape_reference, ins, dels)
+        assert outcome(batch.validate_shape) == want
+        want = outcome(validate_batch_reference, g, ins, dels)
+        assert outcome(g.validate_batch, batch) == want
+        assert batch.is_symmetric() == is_symmetric_reference(ins, dels)
+        kinds["ok" if want is None else "error"] += 1
+        kinds["symmetric"] += batch.is_symmetric()
+    assert min(kinds.values()) > 40, kinds
+
+
+@pytest.mark.parametrize("arcs, ids", [
+    ([(0, 1), (2, 3), (0, 1), (2, 3)], (0, 1)),
+    ([(5, 5), (1, 2), (2, 1), (1, 2), (5, 5)], (1, 2)),
+    ([(-1, 4), (9, 9), (-1, 4)], (-1, 4)),
+])
+def test_first_repeat_in_list_order_is_named(arcs, ids):
+    for batch, what in ((EdgeBatch(insertions=arcs), "insertion"),
+                        (EdgeBatch(deletions=arcs), "deletion")):
+        with pytest.raises(BatchPreconditionError) as exc:
+            batch.validate_shape()
+        assert str(exc.value) == f"duplicate {what} of arc {ids}"
+
+
+def test_batch_overlap_names_least_arc():
+    b = EdgeBatch(insertions=[(3, 0), (1, 2), (0, 4)],
+                  deletions=[(0, 4), (3, 0), (7, 7)])
+    with pytest.raises(BatchPreconditionError) as exc:
+        b.validate_shape()
+    assert str(exc.value) == "arc (0, 4) appears in both insertions and deletions"
+
+
+def test_edge_batch_keeps_list_behaviour():
+    arcs = [(np.int64(2), 3), (np.int32(0), np.uint8(1))]
+    b = EdgeBatch(insertions=arcs)
+    arcs.append((4, 4))  # the batch holds its own copy
+    assert b.insertions == [(2, 3), (0, 1)] and b.deletions == []
+    assert all(type(x) is int for arc in b.insertions for x in arc)
+    assert b.ins.dtype == b.dels.dtype == np.int64
+    assert b.ins.shape == (2, 2) and b.dels.shape == (0, 2)
+    assert not b.deletions and b.insertions
+    assert len(b) == 2 and len(EdgeBatch()) == 0
+    assert repr(b) == "EdgeBatch(insertions=[(2, 3), (0, 1)], deletions=[])"
+    assert repr(EdgeBatch()) == "EdgeBatch(insertions=[], deletions=[])"
+    same = EdgeBatch(np.array([[2, 3], [0, 1]], dtype=np.int32), [])
+    assert b == same and not b != same
+    assert b != EdgeBatch(insertions=[(0, 1), (2, 3)])
+    assert b != EdgeBatch(deletions=[(2, 3), (0, 1)])
+    assert b != [(2, 3), (0, 1)]
+    with pytest.raises(TypeError):
+        hash(b)
+
+
 # ---- edge-list format ----
 
 def test_load_plain_lines():
@@ -341,6 +489,37 @@ def test_tokenizer_splits_large_input_into_blocks():
     assert fast is not None
     assert fast[0] == slow[0] and fast[2] == slow[2]
     np.testing.assert_array_equal(fast[1], slow[1])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("NODES 2000000000\n", "line 1: NODES header implies 2000000000 nodes"),
+    ("# big\n\nNODES 2000000000\n0 1\n",
+     "line 3: NODES header implies 2000000000 nodes"),
+    ("0 2147483000\n", "node id 2147483000 implies 2147483001 nodes"),
+    ("+0 2147483000\n", "node id 2147483000 implies 2147483001 nodes"),
+])
+def test_node_count_guard_refuses_before_allocating(text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(NodeRangeError) as exc:
+            load_edge_list(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(message)
+    assert peak < 4 << 20
+
+
+def test_node_count_guard_bounds():
+    limit = graph.MIN_NODE_LIMIT
+    assert load_edge_list(io.StringIO(f"NODES {limit}\n")).node_count == limit
+    with pytest.raises(NodeRangeError):
+        load_edge_list(io.StringIO(f"NODES {limit + 1}\n"))
+    lines = limit // graph.NODES_PER_ARC_LINE + 1
+    text = f"NODES {lines * graph.NODES_PER_ARC_LINE}\n" + "0 1\n" * lines
+    assert load_edge_list(io.StringIO(text)).node_count == limit + 64
+    with pytest.raises(NodeRangeError):
+        load_edge_list(io.StringIO(text.replace("0 1\n", "", 1)))
 
 
 def test_line_parser_decides_what_the_fast_path_rejects():
