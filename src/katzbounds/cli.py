@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--alpha", type=float, default=None)
     p_compare.add_argument("--foster-tol", type=float, default=1e-9)
     p_compare.add_argument("--cg-tol", type=float, default=1e-15)
-    p_compare.add_argument("--threads", type=int, default=None)
+    p_compare.add_argument("--threads", type=int, default=1)
     _add_output_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -119,10 +118,9 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="k for --criterion topk")
     p.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"),
                    default=None, help="node pair for --criterion pair")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker threads for level computation; results "
-                   "are identical for every value (default: "
-                   "KATZ_THREADS or 1)")
+                   "are identical for every value (default 1)")
     p.add_argument("--max-iterations", type=int, default=None,
                    help="iteration cap (default derived from epsilon)")
 
@@ -134,18 +132,6 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
                    help="write the report here instead of stdout")
     p.add_argument("--full", action="store_true",
                    help="emit every node row (default caps at 10^6)")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("KATZ_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise KatzError(f"KATZ_THREADS is not an integer: {env!r}") from None
-    return 1
 
 
 def _criterion(args) -> engine.Criterion:
@@ -208,7 +194,7 @@ def cmd_static(args) -> int:
     g = load_edge_list(args.graph, undirected=args.undirected)
     crit = _criterion(args)
     state = engine.init(g, crit, alpha=args.alpha,
-                        undirected=args.undirected, threads=_threads(args),
+                        undirected=args.undirected, threads=args.threads,
                         max_iterations=args.max_iterations)
     start = time.perf_counter()
     result = engine.run(state, g)
@@ -229,7 +215,7 @@ def cmd_dynamic(args) -> int:
     batches = dynamic.load_batches(args.batches)
     crit = _criterion(args)
     state = engine.init(g, crit, alpha=args.alpha,
-                        undirected=args.undirected, threads=_threads(args),
+                        undirected=args.undirected, threads=args.threads,
                         max_iterations=args.max_iterations)
     start = time.perf_counter()
     engine.run(state, g)
@@ -294,12 +280,11 @@ def cmd_compare(args) -> int:
     unknown = set(methods) - {"katz", "foster", "cg"}
     if unknown:
         raise KatzError(f"unknown methods: {', '.join(sorted(unknown))}")
-    threads = args.threads if args.threads is not None else 1
 
     # The bounded engine always runs: it anchors the agreement numbers.
     state = engine.init(g, engine.Criterion.ranking(args.epsilon),
                         alpha=args.alpha, undirected=args.undirected,
-                        threads=threads)
+                        threads=args.threads)
     start = time.perf_counter()
     result = engine.run(state, g)
     katz_wall = time.perf_counter() - start

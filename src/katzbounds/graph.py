@@ -7,7 +7,7 @@ membership and batch validation by binary search, and the compressed-row
 0/1 matrix (CSR: `indptr`, int32 `indices`, float64 ones) that the
 numeric kernels multiply with. Degrees, the maximum out-degree, `arcs()`
 and the symmetry test are derived from these arrays; the transposed
-matrix is built only when in-neighbors are asked for. A mutation
+matrix is built only when `in_csr()` is asked for. A mutation
 validates its whole batch, then splices the arrays once (entries leave
 and enter at their sorted positions, row pointers follow by a cumulative
 sum) and bumps the version once.
@@ -26,12 +26,13 @@ import io
 import itertools
 import logging
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
 
-from .errors import BatchPreconditionError, NodeRangeError, ParseError
+from .errors import (BatchPreconditionError, NodeRangeError,
+                     ParameterError, ParseError)
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +59,9 @@ class EdgeBatch:
 
     The arcs are converted once, here, from (u, v) pairs or (k, 2)
     arrays to the (k, 2) int64 arrays `ins` and `dels`, on which every
-    check runs. `insertions` and `deletions` give them back as lists of
-    int pairs.
+    check runs; an id outside [0, MAX_NODE_ID], which no graph can hold,
+    is refused here. `insertions` and `deletions` give them back as
+    lists of int pairs.
     """
 
     __slots__ = ("ins", "dels")
@@ -68,6 +70,11 @@ class EdgeBatch:
                  deletions: Iterable[Arc] = ()):
         self.ins = arc_array(insertions).astype(np.int64)
         self.dels = arc_array(deletions).astype(np.int64)
+        ids = np.concatenate([self.ins, self.dels]).ravel()
+        bad = (ids < 0) | (ids > MAX_NODE_ID)
+        if bad.any():
+            raise NodeRangeError(f"node id {ids[np.argmax(bad)]} outside "
+                                 f"[0, {MAX_NODE_ID}]")
 
     @property
     def insertions(self) -> list[Arc]:
@@ -79,24 +86,21 @@ class EdgeBatch:
 
     def validate_shape(self) -> None:
         """Structural checks that need no graph: duplicates and overlap."""
-        keys = _pair_keys(np.concatenate([self.ins, self.dels]))
-        if keys is not None and _distinct(keys).size == keys.size:
+        ins, dels = _pair_keys(self.ins), _pair_keys(self.dels)
+        keys = np.concatenate([ins, dels])
+        if _distinct(keys).size == keys.size:
             return
-        # A repeat, or an id no graph can hold: the checks on the pairs
-        # name the first repeat in list order or the least overlap.
-        insertions, deletions = self.insertions, self.deletions
-        ins, dels = set(insertions), set(deletions)
-        if len(ins) != len(insertions):
-            dup = _first_duplicate(insertions)
-            raise BatchPreconditionError(f"duplicate insertion of arc {dup}")
-        if len(dels) != len(deletions):
-            dup = _first_duplicate(deletions)
-            raise BatchPreconditionError(f"duplicate deletion of arc {dup}")
-        overlap = ins & dels
-        if overlap:
-            arc = min(overlap)
-            raise BatchPreconditionError(
-                f"arc {arc} appears in both insertions and deletions")
+        # Name the first repeat in list order, else the least overlap.
+        for arcs, own, what in ((self.ins, ins, "insertion"),
+                                (self.dels, dels, "deletion")):
+            order = np.argsort(own, kind="stable")
+            repeat = order[1:][own[order[1:]] == own[order[:-1]]]
+            if repeat.size:
+                arc = tuple(arcs[repeat.min()].tolist())
+                raise BatchPreconditionError(f"duplicate {what} of arc {arc}")
+        arc = divmod(int(np.intersect1d(ins, dels)[0]), 2**31)
+        raise BatchPreconditionError(
+            f"arc {arc} appears in both insertions and deletions")
 
     def is_symmetric(self) -> bool:
         """True when both lists are closed under arc reversal."""
@@ -121,21 +125,15 @@ def _arc_list(arcs: np.ndarray) -> list[Arc]:
     return list(zip(arcs[:, 0].tolist(), arcs[:, 1].tolist()))
 
 
-def _pair_keys(arcs: np.ndarray) -> np.ndarray | None:
-    """u * 2^31 + v per arc, one key per distinct arc; None when an id
-    lies outside [0, MAX_NODE_ID]. A batch has no node count, so its keys
-    cannot be u*n+v."""
-    if arcs.size and not 0 <= arcs.min() <= arcs.max() <= MAX_NODE_ID:
-        return None
+def _pair_keys(arcs: np.ndarray) -> np.ndarray:
+    """u * 2^31 + v per arc, one key per distinct arc. A batch has no
+    node count, so its keys cannot be u*n+v."""
     return arcs[:, 0] << 31 | arcs[:, 1]
 
 
 def _closed_under_reversal(arcs: np.ndarray) -> bool:
-    keys = _pair_keys(arcs)
-    if keys is None:  # an id no graph can hold
-        pairs = set(_arc_list(arcs))
-        return all((v, u) in pairs for u, v in pairs)
-    return np.array_equal(_distinct(keys), _distinct(_pair_keys(arcs[:, ::-1])))
+    return np.array_equal(_distinct(_pair_keys(arcs)),
+                          _distinct(_pair_keys(arcs[:, ::-1])))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -146,19 +144,15 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _first_duplicate(arcs: Sequence[Arc]) -> Arc:
-    seen = set()
-    for a in arcs:
-        if a in seen:
-            return a
-        seen.add(a)
-    return arcs[0]
-
-
 def arc_array(arcs: Iterable[Arc]) -> np.ndarray:
-    """(k, 2) integer array of (source, target) rows; arrays pass as is."""
-    if not isinstance(arcs, np.ndarray):
-        arcs = np.fromiter(itertools.chain.from_iterable(arcs), dtype=np.int64)
+    """(k, 2) integer array of (source, target) rows. Such arrays pass as
+    they are; any other array is refused."""
+    if isinstance(arcs, np.ndarray):
+        if arcs.dtype.kind not in "iu" or arcs.ndim != 2 or arcs.shape[1] != 2:
+            raise ParameterError(f"arcs must be a (k, 2) integer array, got "
+                                 f"shape {arcs.shape} of {arcs.dtype}")
+        return arcs
+    arcs = np.fromiter(itertools.chain.from_iterable(arcs), dtype=np.int64)
     return arcs.reshape(-1, 2)
 
 
@@ -244,18 +238,6 @@ class Graph:
         self._check_node(u)
         self._check_node(v)
         return bool(self._contains(np.array([u * self._n + v]))[0])
-
-    def out_neighbors(self, v: int) -> Iterator[int]:
-        return iter(self._row(self._csr, v).tolist())
-
-    def in_neighbors(self, v: int) -> Iterator[int]:
-        return iter(self._row(self.in_csr(), v).tolist())
-
-    def out_degree(self, v: int) -> int:
-        return int(self._row(self._csr, v).size)
-
-    def in_degree(self, v: int) -> int:
-        return int(self._row(self.in_csr(), v).size)
 
     def max_out_degree(self) -> int:
         return self._max_out
@@ -344,12 +326,6 @@ class Graph:
                 raise BatchPreconditionError(
                     f"cannot {verb} arc ({u}, {v}): {why}")
 
-    def insert_arcs(self, arcs: Sequence[Arc]) -> None:
-        self.apply_batch(EdgeBatch(insertions=list(arcs)))
-
-    def remove_arcs(self, arcs: Sequence[Arc]) -> None:
-        self.apply_batch(EdgeBatch(deletions=list(arcs)))
-
     # ---- internals ----
 
     def _set_keys(self, keys: np.ndarray) -> None:
@@ -389,10 +365,6 @@ class Graph:
         if not 0 <= v < self._n:
             raise NodeRangeError(
                 f"node id {v} outside universe [0, {self._n})")
-
-    def _row(self, A: sparse.csr_matrix, v: int) -> np.ndarray:
-        self._check_node(v)
-        return A.indices[A.indptr[v]:A.indptr[v + 1]]
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self._n}, arcs={self.arc_count})"

@@ -36,7 +36,7 @@ class RunReport:
     wall_time_s: float
     separated_fraction: float | None = None
     ranking_prefix: list[int] = field(default_factory=list)
-    nodes: NodeTable | list[dict[str, Any]] | None = None
+    nodes: NodeTable | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -159,11 +159,7 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps_csv(rows: NodeTable | list[dict]) -> str:
-    """Per-node CSV with the fixed column set; a list of row dicts is
-    read as a table in rank order (its rank fields are not consulted)."""
-    if not isinstance(rows, NodeTable):
-        rows = NodeTable(*(np.array([r[c] for r in rows], dtype=t) for c, t
-                           in zip(CSV_COLUMNS, (np.int64, float, float))))
+def dumps_csv(rows: NodeTable) -> str:
+    """Per-node CSV with the fixed column set."""
     return ",".join(CSV_COLUMNS) + "\n" + \
         _fill_rows(rows, "%s,%s,%s,%s\n", "")

@@ -3,7 +3,14 @@ from __future__ import annotations
 
 import random
 
+from scipy import sparse
+
 from katzbounds import EdgeBatch, Graph
+
+
+def row(A: sparse.csr_matrix, v: int) -> list[int]:
+    """Column ids of row v of a CSR matrix, e.g. out_csr() or in_csr()."""
+    return A.indices[A.indptr[v]:A.indptr[v + 1]].tolist()
 
 
 def complete(n: int) -> Graph:

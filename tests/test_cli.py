@@ -107,13 +107,13 @@ def test_usage_error_exits_two(capsys, tri):
     assert exc.value.code == 2
 
 
-def test_threads_env_fallback(capsys, starfile, monkeypatch):
-    monkeypatch.setenv("KATZ_THREADS", "4")
-    doc = run_json(capsys, ["static", starfile, "--undirected"])
-    assert doc["parameters"]["threads"] == 4
-    monkeypatch.setenv("KATZ_THREADS", "zebra")
-    rc = main(["static", starfile, "--undirected"])
-    assert rc == 3
+@pytest.mark.parametrize("command", ["static", "compare"])
+def test_threads_default_to_one(capsys, starfile, command):
+    doc = run_json(capsys, [command, starfile, "--undirected"])
+    assert doc["parameters"]["threads"] == 1
+    doc = run_json(capsys, [command, starfile, "--undirected",
+                            "--threads", "2"])
+    assert doc["parameters"]["threads"] == 2
 
 
 def test_dynamic_with_verify(tmp_path, capsys, tri):

@@ -188,7 +188,7 @@ def test_undirected_lower_adds_tail_step():
 def test_state_rejects_stale_graph():
     g = builders.path(4)
     st = init(g, Criterion.ranking(1e-6))
-    g.insert_arcs([(0, 2)])
+    g.apply_batch(EdgeBatch(insertions=[(0, 2)]))
     with pytest.raises(StateError):
         iterate_once(st, g)
 

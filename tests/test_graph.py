@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from katzbounds import (BatchPreconditionError, EdgeBatch, Graph,
-                        NodeRangeError, ParseError, dumps_edge_list,
-                        load_edge_list)
+                        NodeRangeError, ParameterError, ParseError,
+                        dumps_edge_list, load_edge_list)
 from katzbounds import graph
 
 import builders
@@ -22,8 +22,8 @@ def test_from_edges_directed():
     assert g.arc_count == 2
     assert g.has_arc(0, 1)
     assert not g.has_arc(1, 0)
-    assert sorted(g.out_neighbors(0)) == [1]
-    assert sorted(g.in_neighbors(2)) == [1]
+    assert builders.row(g.out_csr(), 0) == [1]
+    assert builders.row(g.in_csr(), 2) == [1]
 
 
 def test_from_edges_undirected_mirrors():
@@ -35,28 +35,29 @@ def test_from_edges_undirected_mirrors():
 
 def test_degrees_and_max():
     g = builders.star(5)
-    assert g.out_degree(0) == 4
-    assert g.out_degree(3) == 1
+    assert g.out_degrees()[0] == 4
+    assert g.out_degrees()[3] == 1
     assert g.max_out_degree() == 4
     assert list(g.out_degrees()) == [4, 1, 1, 1, 1]
 
 
 def test_max_degree_tracks_removals():
     g = builders.star(5)
-    g.remove_arcs([(0, 1), (1, 0)])
+    g.apply_batch(EdgeBatch(deletions=[(0, 1), (1, 0)]))
     assert g.max_out_degree() == 3
-    g.remove_arcs([(0, 2), (2, 0), (0, 3), (3, 0), (0, 4), (4, 0)])
+    g.apply_batch(EdgeBatch(
+        deletions=[(0, 2), (2, 0), (0, 3), (3, 0), (0, 4), (4, 0)]))
     assert g.max_out_degree() == 0
     assert g.arc_count == 0
 
 
 def test_insert_updates_structures():
     g = Graph.from_edges(4, [])
-    g.insert_arcs([(0, 1), (2, 3)])
+    g.apply_batch(EdgeBatch(insertions=[(0, 1), (2, 3)]))
     assert g.arc_count == 2
     assert g.max_out_degree() == 1
     v0 = g.version
-    g.insert_arcs([(0, 2)])
+    g.apply_batch(EdgeBatch(insertions=[(0, 2)]))
     assert g.version > v0
     assert g.max_out_degree() == 2
 
@@ -71,8 +72,9 @@ def test_csr_matches_adjacency():
             assert bool(dense[u, v]) == g.has_arc(u, v)
     # cache is per version
     assert g.out_csr() is A
-    g.insert_arcs([(0, 1)] if not g.has_arc(0, 1) else [(1, 0)]
-                  if not g.has_arc(1, 0) else [(2, 0)])
+    g.apply_batch(EdgeBatch(
+        insertions=[(0, 1)] if not g.has_arc(0, 1) else [(1, 0)]
+        if not g.has_arc(1, 0) else [(2, 0)]))
     assert g.out_csr() is not A
 
 
@@ -86,7 +88,7 @@ def test_csr_row_order_is_sorted():
 def test_node_range_checks():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(NodeRangeError):
-        g.out_degree(3)
+        g.has_arc(0, 3)
     with pytest.raises(NodeRangeError):
         g.has_arc(-1, 0)
     with pytest.raises(NodeRangeError):
@@ -164,7 +166,8 @@ def test_spliced_csr_equals_fresh_build(seed, max_ops):
     hub = int(np.argmax(g.out_degrees()))
     g.apply_batch(EdgeBatch(
         insertions=[(hub, hub)] if not g.has_arc(hub, hub) else [],
-        deletions=[(hub, v) for v in g.out_neighbors(hub) if v != hub]))
+        deletions=[(hub, v) for v in builders.row(g.out_csr(), hub)
+                   if v != hub]))
     assert_same_matrix(g, Graph.from_edges(60, list(g.arcs())))
 
 
@@ -260,7 +263,7 @@ def test_batch_checks_match_set_references(seed):
     n = 7
     g = builders.er_graph(n, 0.3, seed=seed, undirected=seed % 2 == 0)
     present = sorted(g.arcs())
-    kinds = {"ok": 0, "error": 0, "symmetric": 0}
+    kinds = {"ok": 0, "error": 0, "symmetric": 0, "out of range": 0}
     for _ in range(400):
         symmetric = rng.random() < 0.5
         ins = random_arcs(rng, n, rng.randint(0, 4), [], symmetric)
@@ -268,6 +271,12 @@ def test_batch_checks_match_set_references(seed):
         dels = random_arcs(rng, n, rng.randint(0, 4), present, symmetric)
         if ins and rng.random() < 0.1:
             dels.append(rng.choice(ins))       # an overlap
+        if any(not 0 <= x <= graph.MAX_NODE_ID for a in ins + dels for x in a):
+            # no graph can hold the id: refused before any check
+            with pytest.raises(NodeRangeError):
+                EdgeBatch(insertions=ins, deletions=dels)
+            kinds["out of range"] += 1
+            continue
         batch = EdgeBatch(insertions=ins, deletions=dels)
         want = outcome(validate_shape_reference, ins, dels)
         assert outcome(batch.validate_shape) == want
@@ -282,7 +291,7 @@ def test_batch_checks_match_set_references(seed):
 @pytest.mark.parametrize("arcs, ids", [
     ([(0, 1), (2, 3), (0, 1), (2, 3)], (0, 1)),
     ([(5, 5), (1, 2), (2, 1), (1, 2), (5, 5)], (1, 2)),
-    ([(-1, 4), (9, 9), (-1, 4)], (-1, 4)),
+    ([(2**31 - 1, 4), (9, 9), (2**31 - 1, 4)], (2**31 - 1, 4)),
 ])
 def test_first_repeat_in_list_order_is_named(arcs, ids):
     for batch, what in ((EdgeBatch(insertions=arcs), "insertion"),
@@ -290,6 +299,19 @@ def test_first_repeat_in_list_order_is_named(arcs, ids):
         with pytest.raises(BatchPreconditionError) as exc:
             batch.validate_shape()
         assert str(exc.value) == f"duplicate {what} of arc {ids}"
+
+
+@pytest.mark.parametrize("arcs, bad", [
+    ([(-1, 4), (9, 9), (-1, 4)], -1),
+    ([(0, 1), (3, 2**31)], 2**31),
+    ([(5, 5), (-2**40, 2**31)], -2**40),
+])
+def test_batch_refuses_ids_no_graph_can_hold(arcs, bad):
+    for kwargs in ({"insertions": arcs}, {"deletions": arcs},
+                   {"insertions": [(0, 1)], "deletions": arcs}):
+        with pytest.raises(NodeRangeError) as exc:
+            EdgeBatch(**kwargs)
+        assert str(exc.value) == f"node id {bad} outside [0, 2147483647]"
 
 
 def test_batch_overlap_names_least_arc():
@@ -321,6 +343,23 @@ def test_edge_batch_keeps_list_behaviour():
         hash(b)
 
 
+@pytest.mark.parametrize("arcs", [
+    np.array([[0.7, 1.9]]),
+    np.array([[0.5, 1.5], [2.0, 3.0]]),
+    np.array([[0, 1, 2], [1, 2, 3]]),
+    np.array([0, 1]),
+    np.array([[True, False]]),
+], ids=["float", "float-pairs", "int-2x3", "int-flat", "bool"])
+def test_arrays_other_than_integer_pairs_are_refused(arcs):
+    # a float array would be truncated, a (2, 3) one read as three pairs
+    for build in (lambda: EdgeBatch(insertions=arcs),
+                  lambda: EdgeBatch(deletions=arcs),
+                  lambda: Graph.from_edges(4, arcs),
+                  lambda: Graph.from_edges(4, arcs, undirected=True)):
+        with pytest.raises(ParameterError):
+            build()
+
+
 # ---- edge-list format ----
 
 def test_load_plain_lines():
@@ -339,7 +378,7 @@ def test_load_with_header_and_comments():
 def test_header_preserves_isolated_nodes():
     g = load_edge_list(io.StringIO("NODES 10\n0 1\n"))
     assert g.node_count == 10
-    assert g.out_degree(9) == 0
+    assert g.out_degrees()[9] == 0
 
 
 def test_load_undirected_flag():
@@ -550,11 +589,11 @@ def test_symmetry_and_in_adjacency_follow_mutation():
     assert g.is_symmetric()
     g.apply_batch(EdgeBatch(insertions=[(2, 3)]))
     assert not g.is_symmetric()
-    assert sorted(g.in_neighbors(3)) == [2]
-    assert g.in_degree(1) == 2
+    assert builders.row(g.in_csr(), 3) == [2]
+    assert len(builders.row(g.in_csr(), 1)) == 2
     g.apply_batch(EdgeBatch(insertions=[(3, 2)], deletions=[(0, 1)]))
     assert not g.is_symmetric()
-    assert sorted(g.in_neighbors(1)) == [2]
+    assert builders.row(g.in_csr(), 1) == [2]
 
 
 def test_apply_batch_bumps_version_once():
