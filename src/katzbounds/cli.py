@@ -65,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dynamic.add_argument("batches", help="batch file: '+ u v' / '- u v' "
                            "lines, blank line between batches")
     _add_engine_args(p_dynamic)
-    p_dynamic.add_argument("--theta", type=float, default=0.5,
-                           help="affected-set fraction that triggers "
-                           "full-level recomputation (default 0.5)")
     p_dynamic.add_argument("--verify", action="store_true",
                            help="check each update against a fresh "
                            "static run (slow)")
@@ -225,7 +222,7 @@ def cmd_dynamic(args) -> int:
     batch_reports = []
     for index, batch in enumerate(batches):
         start = time.perf_counter()
-        dynamic.update_batch(state, g, batch, theta=args.theta)
+        dynamic.update_batch(state, g, batch)
         wall = time.perf_counter() - start
         stats = state.last_update_stats
         entry = {

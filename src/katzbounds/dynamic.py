@@ -14,11 +14,11 @@ each row of a row subset of the matrix in arc order from 0.0, as the
 whole product does. So recomputing any superset of the rows that can
 change is exact, and levels, partial sums, bounds and the node order,
 ties included, are bitwise those of a fresh run. The update grows the
-ball by one shell per level and takes the last ball whose rows hold at
-most a quarter of all arcs, B_{s-1}: levels 1..s are one product each
-of the matrix's rows in that ball, levels s+1..r whole products. Once
-the ball holds more than a theta share of the nodes, it stops growing
-and the update falls back: every partial sum is summed again.
+ball by one shell per level while its rows hold at most a quarter of
+all arcs, and on directed graphs while the front's in-arcs do too; the
+last such ball is B_{s-1}. Levels 1..s are one product each of the
+matrix's rows in that ball, levels s+1..r whole products. The ball's
+partial sums are summed again, or, when s < r, every node's.
 """
 from __future__ import annotations
 
@@ -38,10 +38,12 @@ from .graph import MAX_NODE_ID, EdgeBatch, Graph
 class UpdateStats:
     """Instrumentation for one batch update.
 
-    `matvecs` counts passes over the whole matrix (whole levels,
-    indicator products that find a large shell's in-neighbors, and
-    resumed iterations); `pushed_arcs` counts the arcs multiplied by
-    row-subset products, the subset's arcs times the levels it computes.
+    `level_sizes` are the sizes of the balls B_0..B_{s-1} that levels
+    1..s recomputed; `aborted_level` is s + 1, the first level computed
+    by a whole product, or None when every level was local. `matvecs`
+    counts passes over the whole matrix (whole levels and resumed
+    iterations); `pushed_arcs` counts the arcs multiplied by row-subset
+    products, the subset's arcs times the levels it computes.
     """
 
     batch_size: int = 0
@@ -55,14 +57,15 @@ class UpdateStats:
     pushed_arcs: int = 0
 
 
-# A ball whose rows hold more than this share of all arcs is computed by
-# whole-matrix products. A shell whose in-arcs exceed this share of the
-# arcs finds its in-neighbors with one product, and one whose in-arcs
-# exceed this share of the nodes deduplicates them on a node mask. On
-# rmat 2^16 a gather costs about 6 ns per arc read, a product about 2 ns
-# per arc of the matrix. The mask scan beats the per-candidate dedupe
-# from about n / 16 candidates; a quarter keeps it off the small shells
-# of local updates.
+# The ball stops growing before its rows hold more than this share of all
+# arcs; the levels after it are whole-matrix products. The next ball's
+# rows hold every in-arc of the front, so a front with more in-arcs than
+# that stops it before they are gathered. A shell whose in-arcs exceed
+# this share of the nodes deduplicates them on a node mask. On rmat 2^16
+# a gather costs about 6 ns per arc read, a product about 2 ns per arc of
+# the matrix. The mask scan beats the per-candidate dedupe from about
+# n / 16 candidates; a quarter keeps it off the small shells of local
+# updates.
 LARGE_FRONTIER_SHARE = 0.25
 
 
@@ -76,64 +79,56 @@ def _row_arcs(A: sparse.csr_matrix, rows: np.ndarray,
 
 
 def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
-                      affected: np.ndarray, theta: float,
-                      stats: UpdateStats) -> None:
-    """Bring levels 1..r up to date with g, the batch already applied.
+                      affected: np.ndarray,
+                      stats: UpdateStats) -> np.ndarray | slice:
+    """Bring levels 1..r up to date with g, the batch already applied,
+    growing the ball from the sources as the module docstring describes.
 
-    `affected` marks the sources on entry and, on exit, the ball of the
-    last level before any abort. Level i recomputes B_{i-1}; the theta
-    test before it counts B_{i-2} (B_0 at level 1), the rows of the
-    levels before it.
+    `affected` marks the sources on entry and the ball on exit. Returns
+    the nodes whose partial sums to sum again: B_{s-1}, or every node
+    when s < r.
     """
     alpha, n, A = state.alpha, state.n, g.out_csr()
     share = LARGE_FRONTIER_SHARE * A.nnz
     slot = np.empty(n, dtype=np.intp)
-    shells, size, arcs, small = [sources], sources.size, 0, 0
-    for level in range(1, state.r + 1):
-        if size > theta * n:
-            stats.aborted_level = level
+    shells, front, arcs = [], sources, 0
+    while True:
+        arcs += (A.indptr[front + 1] - A.indptr[front]).sum()
+        if arcs > share:
             break
-        stats.level_sizes.append(size)
-        if level > 1:  # grow B_{level-2} by one reverse step
-            rev = A if state.undirected else g.in_csr()
-            front = shells[-1]
-            counts = rev.indptr[front + 1] - rev.indptr[front]
-            if counts.sum() > share:
-                # A row of A @ indicator counts the row's arcs into the
-                # shell, so its nonzeros are the shell's in-neighbors.
-                hit = np.zeros(n)
-                hit[front] = 1.0
-                new = np.flatnonzero((A @ hit > 0) & ~affected)
-                stats.matvecs += 1
-            elif counts.sum() > LARGE_FRONTIER_SHARE * n:
-                hit = np.zeros(n, dtype=bool)
-                hit[_row_arcs(rev, front, counts)] = True
-                new = np.flatnonzero(hit & ~affected)
-            else:
-                nbrs = _row_arcs(rev, front, counts)
-                nbrs = nbrs[~affected[nbrs]]
-                slot[nbrs] = np.arange(nbrs.size)  # the last copy wins
-                new = nbrs[slot[nbrs] == np.arange(nbrs.size)]
-            affected[new] = True
-            shells.append(new)
-            size += new.size
-        if small == level - 1:
-            arcs += (A.indptr[shells[-1] + 1] - A.indptr[shells[-1]]).sum()
-            if arcs <= share:
-                small = level
-    if small:
-        rows = np.sort(np.concatenate(shells[:small]))
+        affected[front] = True
+        shells.append(front)
+        if len(shells) == state.r:
+            break
+        rev = A if state.undirected else g.in_csr()
+        counts = rev.indptr[front + 1] - rev.indptr[front]
+        if counts.sum() > share:
+            break
+        nbrs = _row_arcs(rev, front, counts)
+        if nbrs.size > LARGE_FRONTIER_SHARE * n:
+            hit = np.zeros(n, dtype=bool)
+            hit[nbrs] = True
+            front = np.flatnonzero(hit & ~affected)
+        else:
+            nbrs = nbrs[~affected[nbrs]]
+            slot[nbrs] = np.arange(nbrs.size)  # the last copy wins
+            front = nbrs[slot[nbrs] == np.arange(nbrs.size)]
+    s = len(shells)
+    stats.level_sizes = np.cumsum([shell.size for shell in shells]).tolist()
+    stats.aborted_level = s + 1 if s < state.r else None
+    stats.matvecs += state.r - s
+    if s:
+        rows = np.sort(np.concatenate(shells))
         sub = A[rows]
-        stats.pushed_arcs = sub.nnz * small
-        for level in range(1, small + 1):
+        stats.pushed_arcs = sub.nnz * s
+        for level in range(1, s + 1):
             state.levels[level][rows] = alpha * (sub @ state.levels[level - 1])
-    for level in range(small + 1, state.r + 1):
+    for level in range(s + 1, state.r + 1):
         state.levels[level] = alpha * state._matvec(g, state.levels[level - 1])
-    stats.matvecs += state.r - small
+    return rows if s == state.r else slice(None)
 
 
-def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
-                 theta: float = 0.5) -> None:
+def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     """Apply an arc batch to g and bring the state back to convergence.
 
     Validates everything (batch preconditions, post-update admissibility
@@ -159,8 +154,6 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
         raise StateError("state does not belong to this graph revision")
     if state.r < 1:
         raise StateError("run the static engine before applying updates")
-    if not 0.0 <= theta <= 1.0:
-        raise ParameterError(f"theta must be in [0, 1], got {theta}")
     g.validate_batch(batch)
     if state.undirected and not batch.is_symmetric():
         raise ParameterError(
@@ -189,11 +182,10 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch, *,
     stats.seeds = int(sources.size)
     g._apply_validated(batch)  # validated above, once
     state.graph_version = g.version
-    _recompute_levels(state, g, sources, affected, theta, stats)
+    touched = _recompute_levels(state, g, sources, affected, stats)
 
     # Sum the levels of every recomputed node again from zero, in level
-    # order, as a fresh run does; after a fallback, of every node.
-    touched = slice(None) if stats.aborted_level else np.flatnonzero(affected)
+    # order, as a fresh run does; after a whole level, of every node.
     katz = np.zeros_like(state.katz[touched])
     for level in state.levels[1:]:
         katz += level[touched]

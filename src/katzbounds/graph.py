@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import itertools
 import logging
+import operator
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -146,14 +147,22 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 def arc_array(arcs: Iterable[Arc]) -> np.ndarray:
     """(k, 2) integer array of (source, target) rows. Such arrays pass as
-    they are; any other array is refused."""
+    they are; any other array is refused, and so is a list whose ids are
+    not integers or not twice as many as its entries."""
     if isinstance(arcs, np.ndarray):
         if arcs.dtype.kind not in "iu" or arcs.ndim != 2 or arcs.shape[1] != 2:
             raise ParameterError(f"arcs must be a (k, 2) integer array, got "
                                  f"shape {arcs.shape} of {arcs.dtype}")
         return arcs
-    arcs = np.fromiter(itertools.chain.from_iterable(arcs), dtype=np.int64)
-    return arcs.reshape(-1, 2)
+    arcs = arcs if isinstance(arcs, list) else list(arcs)
+    try:
+        ids = map(operator.index, itertools.chain.from_iterable(arcs))
+        ids = np.fromiter(ids, dtype=np.int64)
+    except TypeError:  # an entry or an id of the wrong type
+        ids = None
+    if ids is None or ids.size != 2 * len(arcs):
+        raise ParameterError("arcs must be (u, v) pairs of integers")
+    return ids.reshape(-1, 2)
 
 
 def _arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
-                        cg_katz, check_converged, dense_oracle, foster,
-                        generate, init, iterate_once, ranking_result, run,
-                        update_batch)
+                        cg_katz, check_converged, dense_oracle, dynamic,
+                        foster, generate, init, iterate_once, ranking_result,
+                        run, update_batch)
 
 import builders
 
@@ -248,16 +248,19 @@ def _hub_rival_graph(rng: random.Random, h: int):
     return Graph.from_edges(n, edges, undirected=True)
 
 
-def test_06_updates_equal_fresh_recomputation():
+def test_06_updates_equal_fresh_recomputation(monkeypatch):
     """500 update trials: levels match a fresh run at 1e-12 and the
-    converged rankings agree; at least 50 trials must reactivate nodes."""
+    converged rankings agree; at least 50 trials must reactivate nodes.
+    Each trial draws the arc share past which levels are whole products:
+    1.0 keeps every level local, 0.0 computes them all whole."""
     rng = random.Random(60606)
     counters = dict(trials=0, value_bad=0, rank_bad=0, react=0, not_conv=0)
 
-    def one_trial(g, crit, alpha, undirected, batch, theta, topk=None):
+    def one_trial(g, crit, alpha, undirected, batch, share, topk=None):
         st = init(g, crit, alpha=alpha, undirected=undirected)
         run(st, g)
-        update_batch(st, g, batch, theta=theta)
+        monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", share)
+        update_batch(st, g, batch)
         counters["trials"] += 1
         if st.last_update_stats.reactivated >= 1:
             counters["react"] += 1
@@ -292,8 +295,8 @@ def test_06_updates_equal_fresh_recomputation():
                                       undirected=True)
         dm = max(g.max_out_degree(), _post_max_out(g, batch), 1)
         alpha = rng.uniform(0.2, 0.85) / dm
-        theta = rng.choice((1.0, 1.0, 0.5, 0.0))
-        one_trial(g, Criterion.ranking(1e-6), alpha, True, batch, theta)
+        share = rng.choice((1.0, 1.0, 0.25, 0.0))
+        one_trial(g, Criterion.ranking(1e-6), alpha, True, batch, share)
 
     # hub demotions that force reactivation of retired candidates
     for i in range(120):
@@ -303,8 +306,8 @@ def test_06_updates_equal_fresh_recomputation():
                           deletions=[(0, j) for j in range(2, 2 + h)]
                                     + [(j, 0) for j in range(2, 2 + h)])
         alpha = rng.uniform(0.3, 0.9) / (h + 2)
-        theta = rng.choice((1.0, 1.0, 0.5))
-        one_trial(g, Criterion.top_k(2, 1e-6), alpha, True, batch, theta,
+        share = rng.choice((1.0, 1.0, 0.25))
+        one_trial(g, Criterion.top_k(2, 1e-6), alpha, True, batch, share,
                   topk=2)
 
     # directed graphs, score and ranking runs
@@ -316,8 +319,8 @@ def test_06_updates_equal_fresh_recomputation():
         dm = max(g.max_out_degree(), _post_max_out(g, batch), 1)
         alpha = rng.uniform(0.2, 0.85) / dm
         crit = Criterion.score(1e-7) if i % 2 else Criterion.ranking(1e-6)
-        theta = rng.choice((1.0, 1.0, 0.5, 0.0))
-        one_trial(g, crit, alpha, False, batch, theta)
+        share = rng.choice((1.0, 1.0, 0.25, 0.0))
+        one_trial(g, crit, alpha, False, batch, share)
 
     # structured families with heavy symmetry
     for i in range(80):
@@ -334,8 +337,8 @@ def test_06_updates_equal_fresh_recomputation():
                                       undirected=True)
         dm = max(g.max_out_degree(), _post_max_out(g, batch), 1)
         alpha = rng.uniform(0.2, 0.85) / dm
-        theta = rng.choice((1.0, 1.0, 0.5, 0.0))
-        one_trial(g, Criterion.ranking(1e-6), alpha, True, batch, theta)
+        share = rng.choice((1.0, 1.0, 0.25, 0.0))
+        one_trial(g, Criterion.ranking(1e-6), alpha, True, batch, share)
 
     ok = (counters["trials"] == 500 and counters["value_bad"] == 0
           and counters["rank_bad"] == 0 and counters["not_conv"] == 0
@@ -356,8 +359,7 @@ def test_07_update_work_stays_local():
     depth = st.r
     assert 4 <= depth <= 6, f"depth {depth} outside the intended window"
     update_batch(st, g, EdgeBatch(insertions=[],
-                                  deletions=[(4950, 4951), (4951, 4950)]),
-                 theta=1.0)
+                                  deletions=[(4950, 4951), (4951, 4950)]))
     stats = st.last_update_stats
     ok = (stats.aborted_level is None and stats.visited < 1000
           and stats.visited > 0)

@@ -15,7 +15,7 @@ from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
                         iterate_once, load_batches, ranking_result, run,
                         update_batch)
 
-from katzbounds.dynamic import LARGE_FRONTIER_SHARE
+from katzbounds import dynamic
 from katzbounds.engine import default_iteration_cap
 
 import builders
@@ -53,13 +53,15 @@ def bitwise_graph(kind: str, nodes: int = 2**12) -> Graph:
     return Graph.from_edges(nodes, edges)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("share", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("kind", ["rmat-undirected", "rmat-directed", "grid"])
-def test_update_rounds_bitwise_equal_fresh(kind, theta):
+def test_update_rounds_bitwise_equal_fresh(kind, share, monkeypatch):
     """The bitwise form of acceptance gate 6: after every batch of
     delete/re-insert rounds of 1, 10 and 100 edges, levels, partial sums
     and bounds equal a fresh run's bit for bit, and so does the top-25
-    order, ties included."""
+    order, ties included. At the arc share 1.0 every level is local, at
+    0.0 the update computes whole products from level 1."""
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", share)
     g = bitwise_graph(kind)
     undirected = kind != "rmat-directed"
     st = init(g, Criterion.top_k(25, 1e-6), undirected=undirected)
@@ -71,7 +73,10 @@ def test_update_rounds_bitwise_equal_fresh(kind, theta):
         if undirected:
             edit += [(v, u) for u, v in edit]
         for batch in (EdgeBatch(deletions=edit), EdgeBatch(insertions=edit)):
-            update_batch(st, g, batch, theta=theta)
+            update_batch(st, g, batch)
+            if share in (0.0, 1.0):  # all whole, or all local
+                local = st.last_update_stats.aborted_level is None
+                assert local == (share == 1.0)
             fresh = fresh_to_depth(g, st)
             assert_state_matches(st, fresh)
             assert ranking_result(st).top(25) == ranking_result(fresh).top(25)
@@ -83,8 +88,7 @@ def test_single_insertion_matches_fresh():
     g = builders.path(6)
     st = init(g, Criterion.ranking(1e-8), alpha=0.2, undirected=True)
     run(st, g)
-    update_batch(st, g, EdgeBatch(insertions=[(0, 3), (3, 0)], deletions=[]),
-                 theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 3), (3, 0)], deletions=[]))
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
@@ -92,8 +96,7 @@ def test_single_deletion_matches_fresh():
     g = builders.cycle(8)
     st = init(g, Criterion.ranking(1e-8), alpha=0.2, undirected=True)
     run(st, g)
-    update_batch(st, g, EdgeBatch(insertions=[], deletions=[(2, 3), (3, 2)]),
-                 theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=[], deletions=[(2, 3), (3, 2)]))
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
@@ -103,7 +106,7 @@ def test_mixed_directed_batch_matches_fresh():
     run(st, g)
     rng = random.Random(99)
     batch = builders.random_batch(g, rng, max_ops=6)
-    update_batch(st, g, batch, theta=1.0)
+    update_batch(st, g, batch)
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
@@ -114,7 +117,7 @@ def test_randomized_update_stream_stays_exact():
     run(st, g)
     for _ in range(8):
         batch = builders.random_batch(g, rng, max_ops=4, undirected=True)
-        update_batch(st, g, batch, theta=1.0)
+        update_batch(st, g, batch)
         assert_state_matches(st, fresh_to_depth(g, st))
         assert check_converged(st)
 
@@ -138,8 +141,8 @@ def test_insert_then_delete_restores_levels():
     run(st, g)
     levels0 = [lvl.copy() for lvl in st.levels]
     arc = [(0, 6), (6, 0)]
-    update_batch(st, g, EdgeBatch(insertions=arc, deletions=[]), theta=1.0)
-    update_batch(st, g, EdgeBatch(insertions=[], deletions=arc), theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=arc, deletions=[]))
+    update_batch(st, g, EdgeBatch(insertions=[], deletions=arc))
     # the state may have iterated deeper in between, which only extends
     # the level list; every restored level must match the original run
     assert len(st.levels) >= len(levels0)
@@ -161,8 +164,9 @@ def test_empty_batch_is_a_noop_on_values():
     assert check_converged(st)
 
 
-@pytest.mark.parametrize("theta", [1.0, 0.0])
-def test_update_bumps_graph_version_once(theta):
+@pytest.mark.parametrize("share", [1.0, 0.0])
+def test_update_bumps_graph_version_once(share, monkeypatch):
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", share)
     g = builders.er_graph(30, 0.1, seed=4, undirected=False)
     st = init(g, Criterion.score(1e-9), alpha=0.05)
     run(st, g)
@@ -171,7 +175,7 @@ def test_update_bumps_graph_version_once(theta):
               if u != v and not g.has_arc(u, v)][:3]
     batch = EdgeBatch(insertions=absent, deletions=present)
     before = g.version
-    update_batch(st, g, batch, theta=theta)
+    update_batch(st, g, batch)
     assert g.version == before + 1
     assert st.graph_version == g.version
     assert_state_matches(st, fresh_to_depth(g, st))
@@ -179,19 +183,20 @@ def test_update_bumps_graph_version_once(theta):
 
 # ---- BFS abort and locality ----
 
-def test_theta_zero_forces_full_recompute():
+def test_theta_zero_forces_full_recompute(monkeypatch):
+    """At the arc share 0.0 every level is a whole product."""
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", 0.0)
     g = builders.cycle(12)
     st = init(g, Criterion.score(1e-8), alpha=0.2, undirected=True)
     run(st, g)
-    update_batch(st, g, EdgeBatch(insertions=[(0, 6), (6, 0)], deletions=[]),
-                 theta=0.0)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 6), (6, 0)], deletions=[]))
     stats = st.last_update_stats
     assert stats.aborted_level == 1
     assert stats.level_sizes == []
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
-def test_abort_and_local_routes_agree():
+def test_abort_and_local_routes_agree(monkeypatch):
     g1 = builders.er_graph(30, 0.1, seed=5)
     g2 = builders.er_graph(30, 0.1, seed=5)
     if g1.has_arc(0, 17):
@@ -206,8 +211,10 @@ def test_abort_and_local_routes_agree():
     st2 = init(g2, Criterion.score(1e-9), alpha=0.05, undirected=True)
     run(st1, g1)
     run(st2, g2)
-    update_batch(st1, g1, batch, theta=1.0)   # local deltas
-    update_batch(st2, g2, batch, theta=0.0)   # full recompute
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", 1.0)
+    update_batch(st1, g1, batch)   # local levels
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", 0.0)
+    update_batch(st2, g2, batch)   # whole levels
     assert st1.last_update_stats.aborted_level is None
     assert st2.last_update_stats.aborted_level == 1
     np.testing.assert_allclose(st1.katz, st2.katz, rtol=1e-12, atol=1e-13)
@@ -223,7 +230,7 @@ def test_locality_on_grid():
     run(st, g)
     depth = st.r
     arc = [(0, 1), (1, 0)]
-    update_batch(st, g, EdgeBatch(insertions=[], deletions=arc), theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=[], deletions=arc))
     stats = st.last_update_stats
     assert stats.aborted_level is None
     # ball of radius depth-1 around two corner-adjacent nodes
@@ -236,8 +243,7 @@ def test_level_sizes_grow_by_neighborhood():
     g = builders.path(30)
     st = init(g, Criterion.score(0.5), alpha=0.3, undirected=True)
     run(st, g)
-    update_batch(st, g, EdgeBatch(insertions=[], deletions=[(10, 11), (11, 10)]),
-                 theta=1.0)
+    update_batch(st, g, EdgeBatch(deletions=[(10, 11), (11, 10)]))
     sizes = st.last_update_stats.level_sizes
     assert sizes[0] == 2
     for a, b in zip(sizes, sizes[1:]):
@@ -273,14 +279,6 @@ def test_update_requires_matching_graph_version():
     g.apply_batch(EdgeBatch(insertions=[(0, 3), (3, 0)]))
     with pytest.raises(StateError):
         update_batch(st, g, EdgeBatch(insertions=[], deletions=[]))
-
-
-def test_update_rejects_bad_theta():
-    g = builders.cycle(6)
-    st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
-    run(st, g)
-    with pytest.raises(ParameterError):
-        update_batch(st, g, EdgeBatch(insertions=[], deletions=[]), theta=1.5)
 
 
 def test_update_validates_batch_against_graph():
@@ -355,7 +353,7 @@ def test_topk_reactivates_displaced_nodes():
     dels = []
     for leaf in range(4, 12):
         dels += [(0, leaf), (leaf, 0)]
-    update_batch(st, g, EdgeBatch(insertions=[], deletions=dels), theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=[], deletions=dels))
     assert st.last_update_stats.reactivated > 0
     assert check_converged(st)
     # fresh run on the mutated graph agrees on the winners
@@ -370,7 +368,7 @@ def test_resumed_iterations_counted():
     st = init(g, Criterion.score(1e-8), alpha=0.1, undirected=True)
     run(st, g)
     update_batch(st, g, EdgeBatch(insertions=[(0, 14), (14, 0)],
-                                  deletions=[]), theta=1.0)
+                                  deletions=[]))
     stats = st.last_update_stats
     assert stats.resumed_iterations >= 0
     assert check_converged(st)
@@ -393,8 +391,7 @@ def test_update_cap_raises_with_stats():
         tiny.max_iterations = tiny.r
         with pytest.raises(ConvergenceError):
             update_batch(tiny, g, EdgeBatch(insertions=[],
-                                            deletions=[(0, 1), (1, 0)]),
-                         theta=1.0)
+                                            deletions=[(0, 1), (1, 0)]))
 
 
 def test_failed_resume_leaves_documented_state():
@@ -407,7 +404,7 @@ def test_failed_resume_leaves_documented_state():
     # max degree 2 -> 3 raises the tail factor from 5 to 30
     batch = EdgeBatch(insertions=[(0, 5), (5, 0)])
     with pytest.raises(ConvergenceError):
-        update_batch(st, g, batch, theta=1.0)
+        update_batch(st, g, batch)
     assert g.has_arc(0, 5) and g.has_arc(5, 0)
     assert g.version == before + 1
     assert st.graph_version == g.version
@@ -426,24 +423,25 @@ def test_derived_cap_follows_post_batch_degree():
     st = init(g, Criterion.score(1e-9), alpha=0.3, undirected=True)
     run(st, g)
     assert st.max_iterations == default_iteration_cap(0.3, 2, 1e-9)
-    update_batch(st, g, batch, theta=1.0)
+    update_batch(st, g, batch)
     assert st.max_iterations == default_iteration_cap(0.3, 3, 1e-9)
     g = builders.path(12)
     st = init(g, Criterion.score(1e-9), alpha=0.3, undirected=True,
               max_iterations=700)
     run(st, g)
-    update_batch(st, g, batch, theta=1.0)
+    update_batch(st, g, batch)
     assert st.max_iterations == 700
 
 
 # ---- work counters and push kernels ----
 
-def test_full_recompute_pushes_no_arcs():
+def test_full_recompute_pushes_no_arcs(monkeypatch):
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", 0.0)
     g = builders.grid(6, 6)
     st = init(g, Criterion.score(1e-8), alpha=0.1, undirected=True)
     run(st, g)
     depth = st.r
-    update_batch(st, g, EdgeBatch(insertions=[(0, 14), (14, 0)]), theta=0.0)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 14), (14, 0)]))
     stats = st.last_update_stats
     assert stats.pushed_arcs == 0
     assert stats.matvecs == depth + stats.resumed_iterations
@@ -453,8 +451,7 @@ def test_local_update_on_path_costs_no_level_matvec():
     g = builders.path(2000)
     st = init(g, Criterion.score(1e-8), alpha=0.3, undirected=True)
     run(st, g)
-    update_batch(st, g, EdgeBatch(insertions=[(0, 1000), (1000, 0)]),
-                 theta=1.0)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 1000), (1000, 0)]))
     stats = st.last_update_stats
     assert stats.aborted_level is None
     assert stats.resumed_iterations > 0
@@ -475,17 +472,15 @@ def hub_graph(directed: bool) -> Graph:
                             undirected=True)
 
 
-def reverse_bfs_sizes(g: Graph, batch: EdgeBatch, depth: int) -> list[int]:
-    """Affected-set sizes per level, by a plain reverse BFS on the
-    pre-batch graph from the sources of the batch's arcs."""
-    seeds = {u for u, _ in batch.insertions + batch.deletions}
-    affected, frontier, sizes = set(seeds), set(), []
+def reverse_bfs_balls(g: Graph, batch: EdgeBatch, depth: int) -> list[set]:
+    """B_0..B_{depth-1}, the nodes within i reverse steps of the sources
+    of the batch's arcs, by a plain breadth-first search on g."""
+    ball = {u for u, _ in batch.insertions + batch.deletions}
+    balls = []
     for _ in range(depth):
-        sizes.append(len(affected))
-        reached = {w for u in frontier for w in builders.row(g.in_csr(), u)}
-        affected |= reached
-        frontier = reached | seeds
-    return sizes
+        balls.append(ball)
+        ball = ball | {w for u in ball for w in builders.row(g.in_csr(), u)}
+    return balls
 
 
 def level_cases(directed: bool):
@@ -501,46 +496,52 @@ def level_cases(directed: bool):
         yield partial(builders.grid, 8, 8), batch, None
 
 
+def check_local_levels(make, batch: EdgeBatch, alpha, directed: bool):
+    """Update at the default arc share and check the route it took: the
+    local levels 1..s used the reverse-BFS balls B_0..B_{s-1}, level s+1
+    on are whole products, the copied rows are B_{s-1}'s, and the state
+    is bitwise fresh. Returns s, the depth and the arcs of B_0..B_s."""
+    g = make()
+    st = init(g, Criterion.score(1e-10), alpha=alpha, undirected=not directed)
+    run(st, g)
+    depth = st.r
+    update_batch(st, g, batch)
+    stats = st.last_update_stats
+    s = len(stats.level_sizes)
+    balls = reverse_bfs_balls(make(), batch, s + 1)
+    assert stats.level_sizes == [len(ball) for ball in balls[:s]]
+    assert stats.aborted_level == (None if s == depth else s + 1)
+    assert stats.matvecs == depth - s + stats.resumed_iterations
+    degree = g.out_degrees()
+    arcs = [sum(degree[v] for v in ball) for ball in balls]
+    assert stats.pushed_arcs == (arcs[s - 1] * s if s else 0)
+    assert_state_matches(st, fresh_to_depth(g, st))
+    return s, depth, arcs
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_large_frontier_levels_match_fresh(directed):
     g = hub_graph(directed)
-    # level 2 pushes along the hub's 30 in-arcs, over a quarter of them
+    # the hub's 30 in-arcs are over a quarter of all arcs: a directed
+    # update recomputes only B_0 = {hub} locally
     assert len(builders.row(g.in_csr(), 0)) > g.arc_count / 4
-    for make, batch, alpha in level_cases(directed):
-        g = make()
-        st = init(g, Criterion.score(1e-10), alpha=alpha,
-                  undirected=not directed)
-        run(st, g)
-        update_batch(st, g, batch, theta=1.0)
-        stats = st.last_update_stats
-        assert stats.aborted_level is None
-        assert stats.matvecs > stats.resumed_iterations
-        assert stats.level_sizes == reverse_bfs_sizes(
-            make(), batch, len(stats.level_sizes))
-        assert_state_matches(st, fresh_to_depth(g, st))
+    routes = [check_local_levels(make, batch, alpha, directed)[0]
+              for make, batch, alpha in level_cases(directed)]
+    if directed:
+        assert routes[0] == 1
 
 
 def test_ball_past_the_arc_share_is_recomputed_whole():
-    """On an 8x8 grid at theta=1.0 the ball holds more than the arc share
-    before level r. Levels 1..small then multiply the rows of
-    B_{small-1}, more rows than can change at the early levels, and the
-    later levels are whole products; the state is still bitwise fresh."""
-    g = builders.grid(8, 8)
-    st = init(g, Criterion.score(1e-10), undirected=True)
-    run(st, g)
-    update_batch(st, g, EdgeBatch(insertions=[(0, 2), (2, 0)]), theta=1.0)
-    stats = st.last_update_stats
-    balls, ball = [], {0, 2}
-    for _ in stats.level_sizes:
-        balls.append(ball)
-        ball = ball | {w for u in ball for w in builders.row(g.in_csr(), u)}
-    degree = g.out_degrees()
-    arcs = [sum(degree[v] for v in b) for b in balls]
-    small = sum(a <= LARGE_FRONTIER_SHARE * g.arc_count for a in arcs)
-    assert 0 < small < len(stats.level_sizes)
-    assert stats.aborted_level is None
-    assert stats.pushed_arcs == arcs[small - 1] * small
-    assert_state_matches(st, fresh_to_depth(g, st))
+    """On an 8x8 grid the ball passes the arc share before level r:
+    levels 1..s multiply the rows of B_{s-1}, more rows than can change
+    at the early levels, and the later levels are whole products; the
+    state is still bitwise fresh."""
+    make = partial(builders.grid, 8, 8)
+    s, depth, arcs = check_local_levels(
+        make, EdgeBatch(insertions=[(0, 2), (2, 0)]), None, False)
+    assert 0 < s < depth
+    share = dynamic.LARGE_FRONTIER_SHARE * make().arc_count
+    assert arcs[s - 1] <= share < arcs[s]
 
 
 # ---- batch files ----

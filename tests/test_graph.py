@@ -349,9 +349,19 @@ def test_edge_batch_keeps_list_behaviour():
     np.array([[0, 1, 2], [1, 2, 3]]),
     np.array([0, 1]),
     np.array([[True, False]]),
-], ids=["float", "float-pairs", "int-2x3", "int-flat", "bool"])
+    [(0.7, 1.9)],
+    [(0.5, 1.5)],
+    [(0, 1, 2), (3, 4, 5)],
+    [(0, 1, 2)],
+    [(0, 1), (2,)],
+    [0, 1],
+    [(0, "1")],
+], ids=["float", "float-pairs", "int-2x3", "int-flat", "bool",
+        "list-float", "list-half", "list-triples", "list-triple",
+        "list-single", "list-flat", "list-str"])
 def test_arrays_other_than_integer_pairs_are_refused(arcs):
-    # a float array would be truncated, a (2, 3) one read as three pairs
+    # floats would be truncated, a (2, 3) array or triples read as three
+    # pairs; lists and arrays are refused alike
     for build in (lambda: EdgeBatch(insertions=arcs),
                   lambda: EdgeBatch(deletions=arcs),
                   lambda: Graph.from_edges(4, arcs),
