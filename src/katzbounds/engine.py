@@ -8,6 +8,18 @@ and a geometric tail estimate gives an upper bound; iteration stops as
 soon as the requested stopping rule holds on those bounds, which is
 usually long before the scores themselves have converged.
 
+The upper bound adds the smaller of two tails to the partial sum after
+level r, where L_i is level i:
+  - single-step: alpha * gamma * L_r, since each walk extends by at most
+    deg_max arcs per step;
+  - two-step, for r >= 2 when q = max(L_2) < 1: q / (1 - q) *
+    (L_{r-1} + L_r). A walk of length i+2 from v is a walk of length i
+    to some x followed by a 2-walk from x, so L_{i+2} <= q * L_i
+    elementwise, directed or not. Summing the tail in pairs of levels
+    gives the geometric factor q / (1 - q).
+Both tails are non-increasing in r, so their minimum is too; on complete
+graphs the two-step tail is the exact tail.
+
 Bounds only tighten as levels are added: lower bounds never decrease and
 upper bounds never increase, which is what makes early termination and
 permanent deactivation of settled nodes sound.
@@ -128,7 +140,10 @@ class KatzState:
 
     levels[i] holds alpha^i * walk_count_i per node (levels[0] is all
     ones), katz the partial sum of levels 1..r, and lower/upper the
-    current certified bounds, rewritten in place by refresh_bounds.
+    current certified bounds, rewritten in place by refresh_bounds:
+    upper is katz plus the smaller of the single-step tail
+    alpha * gamma * levels[r] and, from r = 2 on, the two-step tail
+    q / (1 - q) * (levels[r-1] + levels[r]) with q = max(levels[2]).
     `active` is the ordered id array of nodes still contending for the
     requested ranking; it only ever shrinks during a static run. A
     ranking check that finds a witness of non-convergence leaves it in
@@ -184,20 +199,35 @@ class KatzState:
         self.params = replace(self.params, gamma=gamma)
 
     def refresh_bounds(self) -> None:
-        """Set lower/upper from the partial sums and level r, in place.
+        """Set lower/upper from the partial sums and levels, in place.
 
-        lower = katz (+ tail undirected), upper = katz + tail * gamma with
-        tail = alpha * level r; upper holds the tail while lower is set.
+        lower = katz (+ alpha * L_r undirected). upper = katz + the smaller
+        of two tails: alpha * gamma * L_r, and for r >= 2, with
+        q = max(L_2) < 1, q / (1 - q) * (L_{r-1} + L_r). Proof of the
+        second: a walk of length i+2 from v is a walk of length i to some
+        x and a 2-walk from x, so L_{i+2} <= q * L_i; the levels after r,
+        summed in pairs, are at most (q + q^2 + ...) * (L_{r-1} + L_r).
+        lower holds the second tail before it is set, so nothing of size
+        n is allocated; katz + min(t1, t2) is bitwise
+        min(katz + t1, katz + t2), since rounding is monotone.
         """
-        tail = np.multiply(self.levels[self.r], self.alpha, out=self.upper)
+        r, level = self.r, self.levels[self.r]
+        lower, upper = self.lower, self.upper
+        np.multiply(level, self.alpha, out=upper)
+        upper *= self.gamma
+        q = float(self.levels[2].max()) if r >= 2 else 1.0
+        if q < 1.0:
+            np.add(self.levels[r - 1], level, out=lower)
+            lower *= q / (1.0 - q)
+            np.minimum(upper, lower, out=upper)
+        upper += self.katz
         # Undirected, every walk of length r extends by retracing its last
         # edge, so the next term is at least alpha * level r.
         if self.undirected:
-            np.add(self.katz, tail, out=self.lower)
+            np.multiply(level, self.alpha, out=lower)
+            lower += self.katz
         else:
-            np.copyto(self.lower, self.katz)
-        np.multiply(tail, self.gamma, out=tail)
-        np.add(self.katz, tail, out=self.upper)
+            np.copyto(lower, self.katz)
 
     # ---- parallel matvec ----
 

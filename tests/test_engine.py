@@ -168,6 +168,36 @@ def test_bounds_monotone_per_iteration():
         prev_upper = st.upper.copy()
 
 
+def test_two_step_tail_is_sound_and_no_looser():
+    # Directed graphs too, which gate 1 leaves out: over levels 1..20,
+    # lower <= exact <= upper, the upper bound never above the
+    # single-step one, and never rising from one level to the next.
+    rng = np.random.default_rng(13)
+    graphs = [(builders.er_graph(int(rng.integers(15, 60)),
+                                 float(rng.uniform(0.04, 0.2)),
+                                 seed=700 + i, undirected=undirected),
+               undirected)
+              for i in range(12) for undirected in (True, False)]
+    graphs += [(builders.star(30), True), (builders.path(40), True),
+               (builders.grid(6, 7), True)]
+    for g, undirected in graphs:
+        alpha = float(rng.uniform(0.3, 0.99)) / max(g.max_out_degree(), 1)
+        exact = dense_oracle(g, alpha=alpha).values
+        slack = 1e-12 * (1.0 + np.abs(exact))
+        st = init(g, Criterion.score(1e-12), alpha=alpha,
+                  undirected=undirected)
+        prev_upper = None
+        for _ in range(20):
+            iterate_once(st, g)
+            single_step = st.katz + st.alpha * st.levels[st.r] * st.gamma
+            assert np.all(st.lower <= exact + slack)
+            assert np.all(st.upper >= exact - slack)
+            assert np.all(st.upper <= single_step)
+            if prev_upper is not None:
+                assert np.all(st.upper <= prev_upper + 1e-15), st.r
+            prev_upper = st.upper.copy()
+
+
 def test_directed_lower_is_partial_sum():
     g = builders.er_graph(20, 0.1, seed=3, undirected=False)
     st = init(g, Criterion.score(1e-9))
@@ -343,13 +373,35 @@ def test_refresh_bounds_matches_allocating_formula(undirected):
         iterate_once(st, g)
         tail = st.alpha * st.levels[st.r]
         expected_lower = st.katz + tail if undirected else st.katz.copy()
+        expected_upper = st.katz + tail * st.gamma
+        if st.r >= 2:
+            q = st.levels[2].max()
+            assert q < 1.0
+            two_step = q / (1.0 - q) * (st.levels[st.r - 1] + st.levels[st.r])
+            expected_upper = np.minimum(expected_upper, st.katz + two_step)
         np.testing.assert_array_equal(st.lower, expected_lower)
-        np.testing.assert_array_equal(st.upper, st.katz + tail * st.gamma)
+        np.testing.assert_array_equal(st.upper, expected_upper)
         # written in place, never aliasing the partial sums or a level
         assert st.lower is lower and st.upper is upper
         for arr in [st.katz] + st.levels:
             assert not np.shares_memory(arr, lower)
             assert not np.shares_memory(arr, upper)
+
+
+def test_two_step_tail_level_counts():
+    # The two-step tail certifies these in fewer levels than the
+    # single-step tail alone, which needed 9, 8 and 10 on rmat 4096 and
+    # 8 for the ranking on rmat 2^16.
+    g = Graph.from_edges(4096, generate("rmat", 4096, seed=1),
+                         undirected=True)
+    counts = [run(init(g, crit, undirected=True), g).iterations_used
+              for crit in (Criterion.ranking(), Criterion.top_k(25),
+                           Criterion.score())]
+    assert counts == [6, 5, 7]
+    g = Graph.from_edges(65536, generate("rmat", 65536, seed=42),
+                         undirected=True)
+    res = run(init(g, Criterion.ranking(1e-6), undirected=True), g)
+    assert res.iterations_used <= 5
 
 
 def test_ranking_result_keeps_its_bounds():
