@@ -7,10 +7,10 @@ the existing state instead of starting over.
 """
 from .baselines import ScoreVector, cg_katz, dense_oracle, foster
 from .dynamic import UpdateStats, load_batches, update_batch
-from .engine import (Criterion, KatzState, Params, RankingResult,
-                     check_converged, default_alpha, epsilon_separated, init,
-                     iterate_once, ranking_result, run, separated_fraction,
-                     tail_gamma, validate_alpha)
+from .engine import (Criterion, KatzState, RankingResult, check_converged,
+                     default_alpha, epsilon_separated, init, iterate_once,
+                     ranking_result, run, separated_fraction, tail_gamma,
+                     validate_alpha)
 from .errors import (BatchPreconditionError, ConvergenceError, KatzError,
                      MethodNotApplicableError, NodeRangeError, NumericError,
                      ParameterError, ParseError, StateError)
@@ -31,7 +31,6 @@ __all__ = [
     "NodeRangeError",
     "NumericError",
     "ParameterError",
-    "Params",
     "ParseError",
     "RankingResult",
     "ScoreVector",

@@ -70,14 +70,17 @@ def foster(g: Graph, alpha: float | None = None, tol: float = 1e-9,
 
 def cg_katz(g: Graph, alpha: float | None = None, residual_tol: float = 1e-15,
             max_iter: int | None = None) -> ScoreVector:
-    """Solve (I - alpha*A) z = 1 by plain conjugate gradient, then return
-    alpha*A*z, the Katz scores.
+    """Solve (I - alpha*A) z = 1 by scipy's conjugate gradient from z = 1,
+    then return alpha*A*z, the Katz scores.
 
     Requires a symmetric arc set; the system matrix is then positive
-    definite for every admissible alpha. The stopping rule is an absolute
-    2-norm threshold on the recursively updated residual, started from
-    z = 1.
+    definite for every admissible alpha. Up to max_iter rounds run, until
+    the recursively updated residual's 2-norm is below residual_tol. The
+    reported residual is the true one, the 2-norm of 1 - z + alpha*A*z.
     """
+    # imported here: it adds about 10 MB to `import katzbounds`
+    from scipy.sparse.linalg import LinearOperator, cg
+
     if alpha is None:
         alpha = default_alpha(g)
     validate_alpha(alpha, g.max_out_degree())
@@ -90,42 +93,32 @@ def cg_katz(g: Graph, alpha: float | None = None, residual_tol: float = 1e-15,
     if max_iter is None:
         max_iter = 10 * n + 100
     A = g.out_csr()
+    system = LinearOperator((n, n), matvec=lambda v: v - alpha * (A @ v),
+                            dtype=np.float64)
+    rounds, capped = 0, np.ones(n)
 
-    def system(v: np.ndarray) -> np.ndarray:
-        return v - alpha * (A @ v)
+    def count(x: np.ndarray) -> None:
+        nonlocal rounds, capped
+        rounds += 1
+        if rounds == max_iter:
+            capped = x.copy()
 
-    b = np.ones(n, dtype=np.float64)
-    x = np.ones(n, dtype=np.float64)
-    r = b - system(x)
-    rs = float(r @ r)
-    it = 0
-    if np.sqrt(rs) >= residual_tol:
-        p = r.copy()
-        while it < max_iter:
-            Ap = system(p)
-            denom = float(p @ Ap)
-            if denom <= 0.0 or not np.isfinite(denom):
-                raise NumericError(
-                    "conjugate gradient broke down (non-positive curvature)")
-            step = rs / denom
-            x += step * p
-            r -= step * Ap
-            rs_next = float(r @ r)
-            it += 1
-            if np.sqrt(rs_next) < residual_tol:
-                rs = rs_next
-                break
-            p = r + (rs_next / rs) * p
-            rs = rs_next
-        else:
-            raise ConvergenceError(
-                f"cg residual {np.sqrt(rs):.3e} still above {residual_tol} "
-                f"after {max_iter} iterations",
-                partial=ScoreVector("cg", alpha * (A @ x), iterations=it,
-                                    residual=float(np.sqrt(rs))),
-                iterations=it)
-    return ScoreVector("cg", alpha * (A @ x), iterations=it,
-                       residual=float(np.sqrt(rs)))
+    # scipy tests the residual before each round, not after the last one
+    z, info = cg(system, np.ones(n), x0=np.ones(n), rtol=0.0,
+                 atol=residual_tol, maxiter=max_iter + 1, callback=count)
+    if info:
+        z, rounds = capped, max_iter
+    scores = alpha * (A @ z)
+    if not np.isfinite(scores).all():
+        raise NumericError("conjugate gradient produced non-finite scores")
+    sv = ScoreVector("cg", scores, iterations=rounds,
+                     residual=float(np.linalg.norm(1.0 - z + scores)))
+    if info:
+        raise ConvergenceError(
+            f"cg residual still above {residual_tol} after {max_iter} "
+            f"iterations (true residual {sv.residual:.3e})",
+            partial=sv, iterations=max_iter)
+    return sv
 
 
 def dense_oracle(g: Graph, alpha: float | None = None) -> ScoreVector:

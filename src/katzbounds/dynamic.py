@@ -22,6 +22,7 @@ partial sums are summed again, or, when s < r, every node's.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,8 @@ from scipy import sparse
 
 from .engine import (RANKING, TOPK, KatzState, check_converged,
                      default_iteration_cap, iterate_once, tail_gamma)
-from .errors import (ConvergenceError, NodeRangeError, ParameterError,
-                     ParseError, StateError)
-from .graph import MAX_NODE_ID, EdgeBatch, Graph
+from .errors import ConvergenceError, ParameterError, ParseError, StateError
+from .graph import EdgeBatch, Graph, parse_id, text_lines
 
 
 @dataclass
@@ -47,7 +47,6 @@ class UpdateStats:
     """
 
     batch_size: int = 0
-    seeds: int = 0
     visited: int = 0
     level_sizes: list[int] = field(default_factory=list)
     reactivated: int = 0
@@ -179,7 +178,6 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     affected = np.zeros(state.n, dtype=bool)
     affected[ins[:, 0]] = affected[dels[:, 0]] = True
     sources = np.flatnonzero(affected)
-    stats.seeds = int(sources.size)
     g._apply_validated(batch)  # validated above, once
     state.graph_version = g.version
     touched = _recompute_levels(state, g, sources, affected, stats)
@@ -193,7 +191,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     affected[ins[:, 1]] = affected[dels[:, 1]] = True
     stats.visited = int(np.count_nonzero(affected))
 
-    state.set_gamma(tail_gamma(state.alpha, new_max))
+    state.gamma = tail_gamma(state.alpha, new_max)
     state.refresh_bounds()
 
     # Nodes written off earlier may contend again after the update.
@@ -232,35 +230,17 @@ def load_batches(source) -> list[EdgeBatch]:
     batches: list[EdgeBatch] = []
     ins: list[tuple[int, int]] = []
     dels: list[tuple[int, int]] = []
-
-    def flush():
-        nonlocal ins, dels
-        if ins or dels:
-            batches.append(EdgeBatch(insertions=ins, deletions=dels))
-            ins, dels = [], []
-
-    for lineno, raw in enumerate(source, start=1):
-        try:
-            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        except UnicodeDecodeError:
-            raise ParseError("not valid UTF-8 text", lineno) from None
-        line = line.strip()
+    # The end of the file ends the last batch, as a blank line does.
+    for lineno, line in itertools.chain(text_lines(source), [(0, "")]):
         if not line:
-            flush()
+            if ins or dels:
+                batches.append(EdgeBatch(insertions=ins, deletions=dels))
+                ins, dels = [], []
             continue
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("+", "-"):
             raise ParseError(
                 f"expected '+ u v' or '- u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"negative node id in {line!r}", lineno)
-        if max(u, v) > MAX_NODE_ID:  # batches hold their ids as int64
-            raise NodeRangeError(f"line {lineno}: node id {max(u, v)} "
-                                 f"overflows the 32-bit id type")
-        (ins if parts[0] == "+" else dels).append((u, v))
-    flush()
+        arc = parse_id(parts[1], lineno), parse_id(parts[2], lineno)
+        (ins if parts[0] == "+" else dels).append(arc)
     return batches

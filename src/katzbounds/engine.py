@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +99,6 @@ class Criterion:
         return cls(PAIR, epsilon, u=int(u), v=int(v))
 
 
-@dataclass(frozen=True)
-class Params:
-    """Engine parameters fixed at init (gamma tracks the current graph)."""
-
-    alpha: float
-    gamma: float
-
-
 def default_alpha(g: Graph) -> float:
     """1 / (1 + max out-degree); 0.5 on an edgeless graph."""
     d = g.max_out_degree()
@@ -148,20 +140,22 @@ class KatzState:
     requested ranking; it only ever shrinks during a static run. A
     ranking check that finds a witness of non-convergence leaves it in
     the previous order, which need not be sorted by the current bounds.
-    `derived_cap` is True when max_iterations came from
-    default_iteration_cap rather than from the caller.
+    alpha is fixed at init; gamma is tail_gamma of the current graph's
+    maximum out-degree. `derived_cap` is True when max_iterations came
+    from default_iteration_cap rather than from the caller.
     """
 
-    __slots__ = ("n", "params", "criterion", "undirected", "r", "levels",
-                 "katz", "lower", "upper", "active", "graph_version",
+    __slots__ = ("n", "alpha", "gamma", "criterion", "undirected", "r",
+                 "levels", "katz", "lower", "upper", "active", "graph_version",
                  "threads", "max_iterations", "derived_cap",
                  "last_update_stats", "_chunk_cache")
 
-    def __init__(self, n: int, params: Params, criterion: Criterion,
-                 undirected: bool, graph_version: int, threads: int,
-                 max_iterations: int, derived_cap: bool = False):
+    def __init__(self, n: int, alpha: float, gamma: float,
+                 criterion: Criterion, undirected: bool, graph_version: int,
+                 threads: int, max_iterations: int, derived_cap: bool = False):
         self.n = n
-        self.params = params
+        self.alpha = alpha
+        self.gamma = gamma
         self.criterion = criterion
         self.undirected = undirected
         self.r = 0
@@ -169,7 +163,7 @@ class KatzState:
         self.katz = np.zeros(n, dtype=np.float64)
         self.lower = np.zeros(n, dtype=np.float64)
         # Tail bound already valid at r=0: remaining series <= alpha*gamma.
-        self.upper = np.full(n, params.alpha * params.gamma, dtype=np.float64)
+        self.upper = np.full(n, alpha * gamma, dtype=np.float64)
         self.active = np.arange(n, dtype=np.int64)
         self.graph_version = graph_version
         self.threads = threads
@@ -178,15 +172,6 @@ class KatzState:
         self.last_update_stats = None
         self._chunk_cache = None
 
-    # convenience
-    @property
-    def alpha(self) -> float:
-        return self.params.alpha
-
-    @property
-    def gamma(self) -> float:
-        return self.params.gamma
-
     @property
     def epsilon(self) -> float:
         return self.criterion.epsilon
@@ -194,9 +179,6 @@ class KatzState:
     def gap(self) -> float:
         """Widest remaining bound interval."""
         return float(np.max(self.upper - self.lower)) if self.n else 0.0
-
-    def set_gamma(self, gamma: float) -> None:
-        self.params = replace(self.params, gamma=gamma)
 
     def refresh_bounds(self) -> None:
         """Set lower/upper from the partial sums and levels, in place.
@@ -325,15 +307,13 @@ def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
             "undirected mode requires a symmetric arc set")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    gamma = tail_gamma(alpha, d)
     derived_cap = max_iterations is None
     if derived_cap:
         max_iterations = default_iteration_cap(alpha, d, criterion.epsilon)
     elif max_iterations < 1:
         raise ParameterError("max_iterations must be >= 1")
-    params = Params(alpha=alpha, gamma=gamma)
-    return KatzState(n, params, criterion, undirected, g.version,
-                     int(threads), int(max_iterations), derived_cap)
+    return KatzState(n, alpha, tail_gamma(alpha, d), criterion, undirected,
+                     g.version, int(threads), int(max_iterations), derived_cap)
 
 
 def default_iteration_cap(alpha: float, max_out_degree: int,

@@ -50,22 +50,23 @@ def grid_edges(n: int) -> np.ndarray:
     return _pairs(np.broadcast_to(i[:, None], dst.shape)[keep], dst[keep])
 
 
-def rmat_edges(n: int, edge_factor: int = 8, seed: int = 0,
-               quadrants: tuple[float, float, float, float] =
-               (0.57, 0.19, 0.19, 0.05)) -> np.ndarray:
+# The rmat model's quadrant probabilities a, b, c, d (Graph500's).
+RMAT_QUADRANTS = (0.57, 0.19, 0.19, 0.05)
+
+
+def rmat_edges(n: int, edge_factor: int = 8, seed: int = 0) -> np.ndarray:
     """Recursive-matrix random graph on n = 2^scale nodes.
 
     Samples edge_factor * n endpoint pairs by recursively picking
-    adjacency-matrix quadrants with the given probabilities, then drops
-    self-loops and collapses duplicates (undirected), so the final edge
-    count is a little below edge_factor * n. Edges come sorted by
-    (u, v). Fully determined by the seed.
+    adjacency-matrix quadrants with the RMAT_QUADRANTS probabilities,
+    then drops self-loops and collapses duplicates (undirected), so the
+    final edge count is a little below edge_factor * n. Edges come
+    sorted by (u, v). Fully determined by the seed.
     """
     _need(n >= 2 and (n & (n - 1)) == 0,
           f"rmat model needs a power-of-two node count >= 2, got {n}")
     _need(edge_factor >= 1, f"edge_factor must be >= 1, got {edge_factor}")
-    a, b, c, _ = quadrants
-    _need(abs(sum(quadrants) - 1.0) < 1e-9, "quadrant probabilities must sum to 1")
+    a, b, c, _ = RMAT_QUADRANTS
     scale = n.bit_length() - 1
     m = n * edge_factor
     rng = np.random.default_rng(seed)

@@ -26,6 +26,7 @@ import io
 import itertools
 import logging
 import operator
+from array import array
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -428,9 +429,8 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
 def _header_line(data: bytes) -> int:
     """Line number of the NODES header, the first line that is neither
     blank nor a comment."""
-    for lineno, line in enumerate(io.BytesIO(data), start=1):
-        parts = line.split()
-        if parts and parts[0][:1] not in (b"#", b"%"):
+    for lineno, line in text_lines(io.BytesIO(data)):
+        if line and line[0] not in "#%":
             return lineno
 
 
@@ -537,39 +537,41 @@ def _blank_comments(data: bytes, b: np.ndarray, event: np.ndarray,
 def _parse_lines(source):
     """Line-by-line parse with exact error lines; same result as _tokenize."""
     declared: int | None = None
-    edges: list[Arc] = []
-    lines_read = 0
+    ids = array("q")  # 16 bytes an arc, where a tuple of ints takes 120
+    lineno = 0  # the number of lines read, once the loop is done
     header_allowed = True
 
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError("not valid UTF-8 text", lineno)
-        else:
-            line = raw
-        line = line.strip()
-        lines_read += 1
+    for lineno, line in text_lines(source):
         if not line or line.startswith("#") or line.startswith("%"):
             continue
         parts = line.split()
         if header_allowed and parts[0].upper() == "NODES":
             if len(parts) != 2:
                 raise ParseError("malformed NODES header", lineno)
-            declared = _parse_id(parts[1], lineno)
+            declared = parse_id(parts[1], lineno)
             header_allowed = False
             continue
         header_allowed = False
         if len(parts) != 2:
             raise ParseError(
                 f"expected two node ids, got {len(parts)} fields", lineno)
-        edges.append((_parse_id(parts[0], lineno),
-                      _parse_id(parts[1], lineno)))
-    return declared, arc_array(edges), lines_read
+        ids.extend(parse_id(token, lineno) for token in parts)
+    return declared, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), lineno
 
 
-def _parse_id(token: str, lineno: int) -> int:
+def text_lines(source) -> Iterator[tuple[int, str]]:
+    """(number, stripped text) of each line of a text or binary stream;
+    ParseError on a line that is not valid UTF-8."""
+    for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("not valid UTF-8 text", lineno) from None
+        yield lineno, raw.strip()
+
+
+def parse_id(token: str, lineno: int) -> int:
     try:
         value = int(token)
     except ValueError:

@@ -1,12 +1,19 @@
 """Walk recurrence, conjugate gradient, and the dense reference solver."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import katzbounds
 from katzbounds import (ConvergenceError, Criterion, Graph,
                         MethodNotApplicableError, ParameterError, cg_katz,
-                        dense_oracle, foster, init, iterate_once, run)
+                        dense_oracle, foster, generate, init, iterate_once,
+                        run)
 
 import builders
 
@@ -116,12 +123,21 @@ def test_cg_requires_symmetry():
         cg_katz(g, alpha=0.3)
 
 
+def generated(model: str, n: int, seed: int = 0) -> Graph:
+    return Graph.from_edges(n, generate(model, n, seed=seed), undirected=True)
+
+
 def test_cg_loose_tolerance_preserves_clear_ranking():
     g = builders.star(50)
     tight = cg_katz(g, residual_tol=1e-15)
     loose = cg_katz(g, residual_tol=1e-4)
     assert loose.iterations <= tight.iterations
     assert tight.ranking()[0] == loose.ranking()[0] == 0
+    # rounds at residual_tol 1e-15, 1e-12 and 1e-4
+    for g, rounds in ((generated("rmat", 4096, seed=1), [8, 7, 3]),
+                      (generated("grid", 4096), [52, 43, 17])):
+        assert [cg_katz(g, residual_tol=tol).iterations
+                for tol in (1e-15, 1e-12, 1e-4)] == rounds
 
 
 def test_cg_convergence_error_carries_partial():
@@ -130,6 +146,24 @@ def test_cg_convergence_error_carries_partial():
         cg_katz(g, alpha=0.2, residual_tol=1e-15, max_iter=2)
     assert exc.value.partial is not None
     assert len(exc.value.partial.values) == 64
+    # max_iter rounds may run, and the residual after the last is tested
+    g = generated("rmat", 4096, seed=1)
+    assert cg_katz(g, residual_tol=1e-15, max_iter=8).iterations == 8
+    with pytest.raises(ConvergenceError) as exc:
+        cg_katz(g, residual_tol=1e-15, max_iter=7)
+    assert exc.value.iterations == exc.value.partial.iterations == 7
+
+
+def test_import_leaves_the_solver_module_unloaded():
+    # cg_katz imports scipy's solvers itself; loaded at import, they cost
+    # every program about 10 MB of resident memory
+    code = "import sys, katzbounds; print('scipy.sparse.linalg' in sys.modules)"
+    src = str(Path(katzbounds.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [src, os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout == "False\n"
 
 
 def test_cg_edgeless():

@@ -12,8 +12,8 @@ from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
                         EdgeBatch, Graph, NodeRangeError, ParameterError,
                         ParseError, StateError,
                         check_converged, dense_oracle, generate, init,
-                        iterate_once, load_batches, ranking_result, run,
-                        update_batch)
+                        iterate_once, load_batches, load_edge_list,
+                        ranking_result, run, update_batch)
 
 from katzbounds import dynamic
 from katzbounds.engine import default_iteration_cap
@@ -576,6 +576,15 @@ def test_load_batches_errors_carry_line():
     assert str(exc.value).startswith("line 3: node id 2147483648 overflows")
     with pytest.raises(NodeRangeError):
         load_batches(io.StringIO("+ 0 99999999999999999999\n"))
+    # ids read as the edge-list parser reads them, which takes these too
+    batch, = load_batches(io.StringIO("+ +1 2\n- 1_0 3\n"))
+    assert batch.insertions == [(1, 2)] and batch.deletions == [(10, 3)]
+    for ids in ("0 x", "0 -1", "0 2147483648"):
+        with pytest.raises((ParseError, NodeRangeError)) as edge_list:
+            load_edge_list(io.StringIO(f"1 2\n\n{ids}\n"))
+        with pytest.raises(edge_list.type) as batches:
+            load_batches(io.StringIO(f"+ 1 2\n\n- {ids}\n"))
+        assert str(batches.value) == str(edge_list.value)
 
 
 def test_load_batches_from_path(tmp_path):

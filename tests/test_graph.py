@@ -544,6 +544,8 @@ def test_tokenizer_splits_large_input_into_blocks():
     ("NODES 2000000000\n", "line 1: NODES header implies 2000000000 nodes"),
     ("# big\n\nNODES 2000000000\n0 1\n",
      "line 3: NODES header implies 2000000000 nodes"),
+    ("\u00a0\nNODES 2000000000\n0 1\n",  # a blank line, to str.strip
+     "line 2: NODES header implies 2000000000 nodes"),
     ("0 2147483000\n", "node id 2147483000 implies 2147483001 nodes"),
     ("+0 2147483000\n", "node id 2147483000 implies 2147483001 nodes"),
 ])
@@ -557,6 +559,22 @@ def test_node_count_guard_refuses_before_allocating(text, message):
         tracemalloc.stop()
     assert str(exc.value).startswith(message)
     assert peak < 4 << 20
+
+
+def test_line_parser_memory_is_bounded_by_the_input():
+    # an error on the last line: the ids read before it are held as
+    # machine integers, not as Python tuples of ints (about 10x the input)
+    data = b"".join(b"%d %d\n" % (i, i + 70_000) for i in range(60_000))
+    data += b"0 x\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            graph._parse_lines(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == 60_001
+    assert peak < 2 * len(data)
 
 
 def test_node_count_guard_bounds():
