@@ -158,13 +158,9 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
         raise ParameterError(
             "state is in undirected mode; batch must contain both "
             "directions of every edge")
-    ins, dels = batch.ins, batch.dels
 
     # Admission check on the post-update degrees, before any mutation.
-    degs = g.out_degrees()
-    np.subtract.at(degs, dels[:, 0], 1)
-    np.add.at(degs, ins[:, 0], 1)
-    new_max = int(degs.max()) if state.n else 0
+    new_max = int(g.out_degrees_after(batch).max()) if state.n else 0
     if new_max > 0 and state.alpha >= 1.0 / new_max:
         raise ParameterError(
             f"batch raises max out-degree to {new_max}; alpha={state.alpha} "
@@ -176,7 +172,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
 
     stats = UpdateStats(batch_size=len(batch))
     affected = np.zeros(state.n, dtype=bool)
-    affected[ins[:, 0]] = affected[dels[:, 0]] = True
+    affected[batch.ins[:, 0]] = affected[batch.dels[:, 0]] = True
     sources = np.flatnonzero(affected)
     g._apply_validated(batch)  # validated above, once
     state.graph_version = g.version
@@ -188,7 +184,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     for level in state.levels[1:]:
         katz += level[touched]
     state.katz[touched] = katz
-    affected[ins[:, 1]] = affected[dels[:, 1]] = True
+    affected[batch.ins[:, 1]] = affected[batch.dels[:, 1]] = True
     stats.visited = int(np.count_nonzero(affected))
 
     state.gamma = tail_gamma(state.alpha, new_max)

@@ -1,19 +1,19 @@
 """Directed graph held in flat arrays, with batch mutation.
 
 The node universe is fixed at construction; arcs form a set (no parallel
-arcs, self-loops permitted). The arc set is stored once, in one canonical
-order, in two aligned forms: sorted int64 keys u*n+v, which answer
-membership and batch validation by binary search, and the compressed-row
-0/1 matrix (CSR: `indptr`, int32 `indices`, float64 ones) that the
-numeric kernels multiply with. Degrees, the maximum out-degree, `arcs()`
-and the symmetry test are derived from these arrays; the transposed
-matrix is built only when `in_csr()` is asked for. A mutation
-validates its whole batch, then splices the arrays once (entries leave
-and enter at their sorted positions, row pointers follow by a cumulative
-sum) and bumps the version once.
+arcs, self-loops permitted). The arc set is stored once, as the
+compressed-row 0/1 matrix (CSR: `indptr`, int32 `indices` with each row
+sorted, float64 ones) that the numeric kernels multiply with. Membership
+and the position an arc takes in `indices` come from a binary search
+inside each row, vectorised over all arcs asked about. Degrees, the
+maximum out-degree, `arcs()` and the symmetry test are derived from the
+same arrays; the transposed matrix is built only when `in_csr()` is
+asked for. A mutation validates its whole batch, then splices `indices`
+once (entries leave and enter at their sorted positions, row pointers
+follow by a cumulative sum) and bumps the version once.
 
-Memory is about 20 bytes per arc (key, index, value) plus 4-8 bytes per
-node, against roughly 140 bytes per arc for Python sets.
+Memory is about 12 bytes per arc (index, value) plus 4-8 bytes per node,
+against roughly 140 bytes per arc for Python sets.
 
 Edge lists are tokenized with numpy, a block of whole lines at a time.
 Input the fast path cannot vouch for is re-read line by line, which
@@ -128,9 +128,12 @@ def _arc_list(arcs: np.ndarray) -> list[Arc]:
 
 
 def _pair_keys(arcs: np.ndarray) -> np.ndarray:
-    """u * 2^31 + v per arc, one key per distinct arc. A batch has no
-    node count, so its keys cannot be u*n+v."""
-    return arcs[:, 0] << 31 | arcs[:, 1]
+    """u * 2^31 + v per arc, the one arc key, ordered by source, then
+    target; built in place (the unsafe cast of in-range ids is exact)."""
+    keys = arcs[:, 0].astype(np.int64)
+    keys <<= 31
+    return np.bitwise_or(keys, arcs[:, 1], out=keys, dtype=np.int64,
+                         casting="unsafe")
 
 
 def _closed_under_reversal(arcs: np.ndarray) -> bool:
@@ -166,14 +169,12 @@ def arc_array(arcs: Iterable[Arc]) -> np.ndarray:
     return ids.reshape(-1, 2)
 
 
-def _arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    return src.astype(np.int64) * n + dst
-
-
 # Graph.apply_batch splices up to this many deleted plus inserted arcs by
-# concatenating the kept slices, which copies each array once; beyond it
-# np.delete/np.insert win (955k arcs: 1.0 against 2.3 ms at 2 positions,
-# 1.5-1.9 against 1.9-2.0 ms at 500, 3.0 against 2.3 ms at 1000).
+# concatenating the kept slices, which copies `indices` once; beyond it
+# np.delete and/or np.insert win. 955k int32 arcs, slices against them:
+# deletions only 0.33/0.82 ms at 2 arcs, 0.52/0.71 at 500, 1.19/0.73 at
+# 2000; insertions only 0.34/0.79, 0.70/0.75, 1.98/0.81; half of each
+# 0.35/1.7 ms at 4 arcs, 1.6/1.6 at 2000.
 SPLICE_BY_SLICES = 500
 
 
@@ -194,8 +195,8 @@ def _splice(a: np.ndarray, gone: np.ndarray, at: np.ndarray,
 class Graph:
     """Mutable directed graph over the fixed universe 0..node_count-1."""
 
-    __slots__ = ("_n", "_keys", "_csr", "_ones", "_in_csr", "_symmetric",
-                 "_max_out", "_version")
+    __slots__ = ("_n", "_csr", "_ones", "_in_csr", "_symmetric", "_max_out",
+                 "_version")
 
     def __init__(self, node_count: int):
         if node_count < 0:
@@ -220,13 +221,11 @@ class Graph:
         bad = (pairs < 0) | (pairs >= g._n)
         if bad.any():
             g._check_node(int(pairs.ravel()[np.argmax(bad.ravel())]))
-        src, dst = pairs[:, 0], pairs[:, 1]
-        keys = _arc_keys(src, dst, g._n)
+        keys = _pair_keys(pairs)
         if undirected:
-            keys = np.concatenate([keys, _arc_keys(dst, src, g._n)])
+            keys = np.concatenate([keys, _pair_keys(pairs[:, ::-1])])
         g._set_keys(_distinct(keys))
-        if undirected:
-            g._symmetric = True
+        g._symmetric = True if undirected else None  # None: not yet known
         return g
 
     # ---- read access ----
@@ -237,7 +236,7 @@ class Graph:
 
     @property
     def arc_count(self) -> int:
-        return int(self._keys.size)
+        return self._csr.nnz
 
     @property
     def version(self) -> int:
@@ -247,7 +246,7 @@ class Graph:
     def has_arc(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return bool(self._contains(np.array([u * self._n + v]))[0])
+        return bool(self._find(np.array([u]), np.array([v]))[1][0])
 
     def max_out_degree(self) -> int:
         return self._max_out
@@ -255,17 +254,23 @@ class Graph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._csr.indptr).astype(np.int64)
 
+    def out_degrees_after(self, batch: EdgeBatch) -> np.ndarray:
+        """The out-degrees after a batch that validate_batch passed."""
+        n, ins, dels = self._n, batch.ins, batch.dels
+        return self.out_degrees() + np.bincount(ins[:, 0], minlength=n) \
+            - np.bincount(dels[:, 0], minlength=n)
+
     def arcs(self) -> Iterator[Arc]:
         """All arcs, ordered by source, then target."""
-        n = max(self._n, 1)
-        return zip((self._keys // n).tolist(), (self._keys % n).tolist())
+        src = np.repeat(np.arange(self._n), self.out_degrees())
+        return zip(src.tolist(), self._csr.indices.tolist())
 
     def is_symmetric(self) -> bool:
         """True when the arc set is closed under reversal (cached)."""
         if self._symmetric is None:
-            n, keys = max(self._n, 1), self._keys
-            self._symmetric = bool(
-                np.array_equal(np.sort(keys % n * n + keys // n), keys))
+            T = self._csr.T.tocsr()  # not kept: 12 bytes per arc
+            self._symmetric = np.array_equal(self._csr.indptr, T.indptr) and \
+                np.array_equal(self._csr.indices, T.indices)
         return self._symmetric
 
     def out_csr(self) -> sparse.csr_matrix:
@@ -291,44 +296,35 @@ class Graph:
         self._apply_validated(batch)
 
     def _apply_validated(self, batch: EdgeBatch) -> None:
-        """apply_batch for a batch validate_batch has already passed.
-
-        The stored arrays are spliced, not rebuilt: keys and column
-        indices lose and gain entries at the same positions, and the row
-        pointer follows from the per-row count changes.
-        """
-        n, keys, indices = self._n, self._keys, self._csr.indices
-        dels, ins = batch.dels, batch.ins
-        # Sorted needles give sorted positions, found in one forward sweep.
-        gone = np.searchsorted(keys, np.sort(_arc_keys(*dels.T, n)))
-        new = np.sort(_arc_keys(*ins.T, n))
-        new_indices = (new % max(n, 1)).astype(np.int32)
-        if gone.size + new.size <= SPLICE_BY_SLICES:
-            at = np.searchsorted(keys, new)
-            keys = _splice(keys, gone, at, new)
-            indices = _splice(indices, gone, at, new_indices)
-        else:  # each call copies its array, so only the needed ones run
+        """apply_batch for a batch validate_batch has already passed:
+        `indices` is spliced at positions all found before the batch, and
+        the row pointer is summed from the new out-degrees."""
+        indices = self._csr.indices
+        gone = np.sort(self._find(*batch.dels.T)[0])
+        # Sorted arcs take sorted positions, equal ones in target order.
+        new = batch.ins[np.argsort(_pair_keys(batch.ins))]
+        at = self._find(*new.T)[0]
+        values = new[:, 1].astype(np.int32)
+        if gone.size + at.size <= SPLICE_BY_SLICES:
+            indices = _splice(indices, gone, at, values)
+        else:  # each call copies the array, so only the needed ones run
             if gone.size:
-                keys, indices = np.delete(keys, gone), np.delete(indices, gone)
-            if new.size:
-                at = np.searchsorted(keys, new)
-                keys = np.insert(keys, at, new)
-                indices = np.insert(indices, at, new_indices)
-        grown = np.zeros(n + 1, dtype=np.int64)  # grown[u + 1]: row u's change
-        np.subtract.at(grown, dels[:, 0] + 1, 1)
-        np.add.at(grown, ins[:, 0] + 1, 1)
-        self._install(keys, indices, self._csr.indptr + np.cumsum(grown))
+                indices = np.delete(indices, gone)
+            if at.size:
+                indices = np.insert(indices, at - np.searchsorted(gone, at),
+                                    values)
+        degrees = self.out_degrees_after(batch)
+        self._install(indices, np.concatenate([[0], np.cumsum(degrees)]))
 
     def validate_batch(self, batch: EdgeBatch) -> None:
         """Raise for the first arc, insertions first, that is out of
         range, inserted while present or deleted while absent."""
         batch.validate_shape()
-        n = self._n
         for arcs, present, verb, why in (
                 (batch.ins, False, "insert", "already present"),
                 (batch.dels, True, "delete", "not present")):
-            ok = ((arcs >= 0) & (arcs < n)).all(axis=1)
-            ok[ok] = self._contains(_arc_keys(*arcs[ok].T, n)) == present
+            ok = ((arcs >= 0) & (arcs < self._n)).all(axis=1)
+            ok[ok] = self._find(*arcs[ok].T)[1] == present
             if not ok.all():
                 u, v = arcs[int(np.argmin(ok))].tolist()
                 self._check_node(u)
@@ -339,37 +335,40 @@ class Graph:
     # ---- internals ----
 
     def _set_keys(self, keys: np.ndarray) -> None:
-        """Install a sorted, duplicate-free key array and build from it."""
-        n = self._n
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        indices = (keys % max(n, 1)).astype(np.int32)
-        self._install(keys, indices, indptr)
+        """Build from sorted, duplicate-free _pair_keys (overwritten)."""
+        indptr = np.searchsorted(
+            keys, np.arange(self._n + 1, dtype=np.int64) << 31)
+        keys &= MAX_NODE_ID
+        self._install(keys.astype(np.int32), indptr)
 
-    def _install(self, keys: np.ndarray, indices: np.ndarray,
-                 indptr: np.ndarray) -> None:
-        """Make keys and the CSR arrays the graph; one version bump."""
+    def _install(self, indices: np.ndarray, indptr: np.ndarray) -> None:
+        """Make the CSR arrays the graph; one version bump."""
         n = self._n
         # The matrix values are all ones and never written, so matrices
         # share one buffer of ones, grown only when the arc count does.
-        if self._ones is None or self._ones.size < keys.size:
-            self._ones = np.ones(keys.size)
-        self._keys = keys
+        if self._ones is None or self._ones.size < indices.size:
+            self._ones = np.ones(indices.size)
         self._csr = sparse.csr_matrix(
-            (self._ones[:keys.size], indices, indptr), shape=(n, n))
+            (self._ones[:indices.size], indices, indptr), shape=(n, n))
         self._max_out = int(np.diff(indptr).max()) if n else 0
         self._in_csr = self._symmetric = None
         self._version += 1
 
-    def _contains(self, keys: np.ndarray) -> np.ndarray:
-        """Membership of each key; searched in sorted order."""
-        order = np.argsort(keys)
-        needles = keys[order]
-        pos = np.searchsorted(self._keys, needles)
-        hit = pos < self._keys.size
-        hit[hit] = self._keys[pos[hit]] == needles[hit]
-        found = np.empty_like(hit)
-        found[order] = hit
-        return found
+    def _find(self, u: np.ndarray, v: np.ndarray):
+        """(position, present) per arc (u, v) with nodes in range: the
+        first slot of row u of `indices` not below v, and whether it holds
+        v. One vectorised round per bit of the maximum out-degree."""
+        indptr, indices = self._csr.indptr, self._csr.indices
+        pos, end = indptr[u].astype(np.intp), indptr[u + 1].astype(np.intp)
+        v = v.astype(indices.dtype)  # compared without conversion
+        for bit in reversed(range(self._max_out.bit_length())):
+            # Step 2^bit, or to the row's end, over targets below v (an
+            # empty step, which reads a stray entry, leaves pos as it is).
+            step = np.minimum(pos + (1 << bit), end)
+            np.copyto(pos, step, where=indices[step - 1] < v)
+        present = pos < end
+        present[present] = indices[pos[present]] == v[present]
+        return pos, present
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
@@ -451,6 +450,10 @@ def _tokenize(data: bytes):
     declared, offset, start = None, 0, 0
     for line in io.BytesIO(data):  # up to the first non-comment line
         offset += len(line)
+        try:  # no block will hold the comment lines before a header
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
         parts = line.split()
         if not parts or parts[0][:1] in (b"#", b"%"):
             continue

@@ -24,6 +24,9 @@ def test_from_edges_directed():
     assert not g.has_arc(1, 0)
     assert builders.row(g.out_csr(), 0) == [1]
     assert builders.row(g.in_csr(), 2) == [1]
+    # unsigned ids give the same matrix
+    pairs = np.array([[0, 1], [1, 2], [0, 1]], dtype=np.uint64)
+    assert_same_matrix(g, Graph.from_edges(3, pairs))
 
 
 def test_from_edges_undirected_mirrors():
@@ -83,6 +86,21 @@ def test_csr_row_order_is_sorted():
     A = g.out_csr()
     row = A.indices[A.indptr[0]:A.indptr[1]]
     assert list(row) == [1, 2, 3]
+
+
+def test_lookups_on_a_graph_without_arcs():
+    for g in (Graph(3), Graph.from_edges(3, [])):
+        assert not g.has_arc(0, 2) and not g.has_arc(1, 1)
+        assert g.arc_count == 0 and list(g.arcs()) == []
+        g.validate_batch(EdgeBatch(insertions=[(0, 2), (2, 2)]))
+        with pytest.raises(BatchPreconditionError) as exc:
+            g.validate_batch(EdgeBatch(insertions=[(0, 1)],
+                                       deletions=[(1, 0)]))
+        assert str(exc.value) == "cannot delete arc (1, 0): not present"
+        with pytest.raises(NodeRangeError):
+            g.validate_batch(EdgeBatch(insertions=[(0, 3)]))
+    with pytest.raises(NodeRangeError):
+        Graph(0).has_arc(0, 0)
 
 
 def test_node_range_checks():
@@ -152,23 +170,56 @@ def assert_same_matrix(g: Graph, h: Graph) -> None:
     ids=["1", "2", "3", "1-large", "2-large", "3-large"])
 def test_spliced_csr_equals_fresh_build(seed, max_ops):
     # max_ops=8 splices by slices, 600 by np.delete/np.insert as well
+    cutoff = graph.SPLICE_BY_SLICES
     rng = random.Random(seed)
     g = builders.er_graph(60, 0.3, seed=seed, undirected=False)
+    # the arc set, kept apart from the graph under test
+    arcs = set(map(tuple, np.argwhere(g.out_csr().toarray()).tolist()))
     sizes = []
     for _ in range(4):
         batch = builders.random_batch(g, rng, max_ops=max_ops)
         sizes.append(len(batch))
         g.apply_batch(batch)
-        assert_same_matrix(g, Graph.from_edges(60, list(g.arcs())))
-    cutoff = graph.SPLICE_BY_SLICES
+        arcs = (arcs - set(batch.deletions)) | set(batch.insertions)
+        assert_same_matrix(g, Graph.from_edges(60, sorted(arcs)))
     assert (max(sizes) > cutoff) == (max_ops > cutoff)
     # emptying the widest row lowers the max degree
     hub = int(np.argmax(g.out_degrees()))
+    gone = [(hub, v) for v in range(60) if v != hub and (hub, v) in arcs]
     g.apply_batch(EdgeBatch(
-        insertions=[(hub, hub)] if not g.has_arc(hub, hub) else [],
-        deletions=[(hub, v) for v in builders.row(g.out_csr(), hub)
-                   if v != hub]))
-    assert_same_matrix(g, Graph.from_edges(60, list(g.arcs())))
+        insertions=[(hub, hub)] if (hub, hub) not in arcs else [],
+        deletions=gone))
+    arcs = (arcs - set(gone)) | {(hub, hub)}
+    assert_same_matrix(g, Graph.from_edges(60, sorted(arcs)))
+
+
+@pytest.mark.parametrize("cutoff", [graph.SPLICE_BY_SLICES, 0],
+                         ids=["slices", "delete-insert"])
+def test_splice_at_shared_and_end_positions(cutoff, monkeypatch):
+    monkeypatch.setattr(graph, "SPLICE_BY_SLICES", cutoff)
+    # slots of `indices`: row 0 [1, 5] at 0-1, row 1 [2, 3, 5] at 2-4,
+    # row 2 empty at 5, row 3 [0] at 5, row 4 [4] at 6, row 5 empty at 7
+    arcs = {(0, 1), (0, 5), (1, 2), (1, 3), (1, 5), (3, 0), (4, 4)}
+    g = Graph.from_edges(6, sorted(arcs))
+    batch = EdgeBatch(
+        # three at slot 1, in no order; (0, 0) at the slot of the deleted
+        # (0, 1); two into empty row 2, at the slot of row 3's first
+        # arc; one into empty row 5, at the end of the array; (1, 4) at
+        # the slot of the deleted last arc of row 1
+        insertions=[(0, 4), (0, 2), (0, 3), (0, 0), (2, 5), (2, 1), (5, 0),
+                    (1, 4)],
+        # the first arcs of rows 0 and 1, the last of row 1, and the
+        # array's last arc
+        deletions=[(1, 5), (0, 1), (1, 2), (4, 4)])
+    for step in (batch, EdgeBatch(batch.deletions, batch.insertions)):
+        g.apply_batch(step)
+        arcs = (arcs - set(step.deletions)) | set(step.insertions)
+        assert set(g.arcs()) == arcs
+        assert_same_matrix(g, Graph.from_edges(6, sorted(arcs)))
+        if step is batch:
+            assert builders.row(g.out_csr(), 0) == [0, 2, 3, 4, 5]
+            assert builders.row(g.out_csr(), 1) == [3, 4]
+            assert g.out_csr().indptr.tolist() == [0, 5, 7, 9, 10, 10, 11]
 
 
 def test_batch_symmetry_probe():
@@ -501,6 +552,7 @@ TOKENIZER_REJECTS = {
     "one_id_last_line": "0 1\n5",
     "pair_split_by_newline": "0\n1\n",
     "invalid_utf8_comment": "# \xff\n0 1\n",
+    "invalid_utf8_comment_before_header": "# \xff\nNODES 5\n0 1\n",
     "id_then_comment": "0 1 # note\n",
 }
 
