@@ -56,6 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         "static", help="run the bounded engine once on a fixed graph")
     _add_graph_args(p_static)
     _add_engine_args(p_static)
+    # Only perfbench passes this (static-cold's argv in
+    # perfbench/workloads.py), and it goes when that reader does.
+    p_static.add_argument("--threads", type=int, choices=(1,), default=1,
+                          help=argparse.SUPPRESS)
     _add_output_args(p_static)
     p_static.set_defaults(func=cmd_static)
 
@@ -81,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--alpha", type=float, default=None)
     p_compare.add_argument("--foster-tol", type=float, default=1e-9)
     p_compare.add_argument("--cg-tol", type=float, default=1e-15)
-    p_compare.add_argument("--threads", type=int, default=1)
     _add_output_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -115,9 +118,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="k for --criterion topk")
     p.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"),
                    default=None, help="node pair for --criterion pair")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for level computation; results "
-                   "are identical for every value (default 1)")
     p.add_argument("--max-iterations", type=int, default=None,
                    help="iteration cap (default derived from epsilon)")
 
@@ -170,7 +170,6 @@ def _engine_parameters(state: engine.KatzState) -> dict:
         "alpha": state.alpha,
         "gamma": state.gamma,
         "undirected": state.undirected,
-        "threads": state.threads,
     }
     if crit.kind == engine.TOPK:
         params["k"] = crit.k
@@ -191,7 +190,7 @@ def cmd_static(args) -> int:
     g = load_edge_list(args.graph, undirected=args.undirected)
     crit = _criterion(args)
     state = engine.init(g, crit, alpha=args.alpha,
-                        undirected=args.undirected, threads=args.threads,
+                        undirected=args.undirected,
                         max_iterations=args.max_iterations)
     start = time.perf_counter()
     result = engine.run(state, g)
@@ -212,7 +211,7 @@ def cmd_dynamic(args) -> int:
     batches = dynamic.load_batches(args.batches)
     crit = _criterion(args)
     state = engine.init(g, crit, alpha=args.alpha,
-                        undirected=args.undirected, threads=args.threads,
+                        undirected=args.undirected,
                         max_iterations=args.max_iterations)
     start = time.perf_counter()
     engine.run(state, g)
@@ -227,8 +226,8 @@ def cmd_dynamic(args) -> int:
         stats = state.last_update_stats
         entry = {
             "batch": index,
-            "insertions": len(batch.insertions),
-            "deletions": len(batch.deletions),
+            "insertions": len(batch.ins),
+            "deletions": len(batch.dels),
             "wall_time_s": wall,
             "visited": stats.visited,
             "level_sizes": stats.level_sizes,
@@ -280,8 +279,7 @@ def cmd_compare(args) -> int:
 
     # The bounded engine always runs: it anchors the agreement numbers.
     state = engine.init(g, engine.Criterion.ranking(args.epsilon),
-                        alpha=args.alpha, undirected=args.undirected,
-                        threads=args.threads)
+                        alpha=args.alpha, undirected=args.undirected)
     start = time.perf_counter()
     result = engine.run(state, g)
     katz_wall = time.perf_counter() - start

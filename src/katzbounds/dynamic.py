@@ -123,7 +123,7 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
         for level in range(1, s + 1):
             state.levels[level][rows] = alpha * (sub @ state.levels[level - 1])
     for level in range(s + 1, state.r + 1):
-        state.levels[level] = alpha * state._matvec(g, state.levels[level - 1])
+        state.levels[level] = alpha * (A @ state.levels[level - 1])
     return rows if s == state.r else slice(None)
 
 
@@ -160,7 +160,8 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
             "directions of every edge")
 
     # Admission check on the post-update degrees, before any mutation.
-    new_max = int(g.out_degrees_after(batch).max()) if state.n else 0
+    degrees = g.out_degrees_after(batch)
+    new_max = int(degrees.max()) if state.n else 0
     if new_max > 0 and state.alpha >= 1.0 / new_max:
         raise ParameterError(
             f"batch raises max out-degree to {new_max}; alpha={state.alpha} "
@@ -174,7 +175,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     affected = np.zeros(state.n, dtype=bool)
     affected[batch.ins[:, 0]] = affected[batch.dels[:, 0]] = True
     sources = np.flatnonzero(affected)
-    g._apply_validated(batch)  # validated above, once
+    g._apply_validated(batch, degrees)  # validated above, once
     state.graph_version = g.version
     touched = _recompute_levels(state, g, sources, affected, stats)
 

@@ -31,7 +31,6 @@ check, the ranking snapshot and the baselines' rankings all call it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +146,15 @@ class KatzState:
 
     __slots__ = ("n", "alpha", "gamma", "criterion", "undirected", "r",
                  "levels", "katz", "lower", "upper", "active", "graph_version",
-                 "threads", "max_iterations", "derived_cap",
-                 "last_update_stats", "_chunk_cache")
+                 "max_iterations", "derived_cap", "last_update_stats")
+
+    # Single-threaded; only perfbench reads this (StaticCold.traced in
+    # perfbench/workloads.py), and it goes when that reader does.
+    threads = 1
 
     def __init__(self, n: int, alpha: float, gamma: float,
                  criterion: Criterion, undirected: bool, graph_version: int,
-                 threads: int, max_iterations: int, derived_cap: bool = False):
+                 max_iterations: int, derived_cap: bool = False):
         self.n = n
         self.alpha = alpha
         self.gamma = gamma
@@ -166,11 +168,9 @@ class KatzState:
         self.upper = np.full(n, alpha * gamma, dtype=np.float64)
         self.active = np.arange(n, dtype=np.int64)
         self.graph_version = graph_version
-        self.threads = threads
         self.max_iterations = max_iterations
         self.derived_cap = derived_cap
         self.last_update_stats = None
-        self._chunk_cache = None
 
     @property
     def epsilon(self) -> float:
@@ -211,48 +211,6 @@ class KatzState:
         else:
             np.copyto(lower, self.katz)
 
-    # ---- parallel matvec ----
-
-    def _matvec(self, g: Graph, vec: np.ndarray) -> np.ndarray:
-        """out[v] = sum of vec[u] over out-neighbors u of v.
-
-        With threads > 1 the rows are split into contiguous chunks and
-        each chunk is computed independently; per-row summation order is
-        identical to the sequential path, so results are bitwise equal
-        for every thread count.
-        """
-        A = g.out_csr()
-        t = self.threads
-        if t <= 1 or self.n < 2 * t:
-            return A @ vec
-        cache = self._chunk_cache
-        if cache is None or cache[0] != g.version or cache[1] != t:
-            bounds = np.linspace(0, self.n, t + 1, dtype=np.int64)
-            chunks = [(int(bounds[i]), int(bounds[i + 1]),
-                       A[int(bounds[i]):int(bounds[i + 1])])
-                      for i in range(t)]
-            cache = (g.version, t, chunks)
-            self._chunk_cache = cache
-        out = np.empty(self.n, dtype=np.float64)
-
-        def _run_chunk(i: int) -> None:
-            lo, hi, sub = cache[2][i]
-            out[lo:hi] = sub @ vec
-
-        list(_shared_executor(t).map(_run_chunk, range(t)))
-        return out
-
-
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _shared_executor(threads: int) -> ThreadPoolExecutor:
-    ex = _EXECUTORS.get(threads)
-    if ex is None:
-        ex = ThreadPoolExecutor(max_workers=threads)
-        _EXECUTORS[threads] = ex
-    return ex
-
 
 # ---- results ----
 
@@ -281,7 +239,7 @@ class RankingResult:
 # ---- operations ----
 
 def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
-         undirected: bool = False, threads: int = 1,
+         undirected: bool = False,
          max_iterations: int | None = None) -> KatzState:
     """Prepare a computation on g; alpha defaults to 1/(1 + max degree).
 
@@ -305,15 +263,13 @@ def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
     if undirected and not g.is_symmetric():
         raise ParameterError(
             "undirected mode requires a symmetric arc set")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     derived_cap = max_iterations is None
     if derived_cap:
         max_iterations = default_iteration_cap(alpha, d, criterion.epsilon)
     elif max_iterations < 1:
         raise ParameterError("max_iterations must be >= 1")
     return KatzState(n, alpha, tail_gamma(alpha, d), criterion, undirected,
-                     g.version, int(threads), int(max_iterations), derived_cap)
+                     g.version, int(max_iterations), derived_cap)
 
 
 def default_iteration_cap(alpha: float, max_out_degree: int,
@@ -335,7 +291,7 @@ def iterate_once(state: KatzState, g: Graph) -> None:
     if g.version != state.graph_version:
         raise StateError(
             "graph changed since init; static iteration would be unsound")
-    level = state._matvec(g, state.levels[-1])
+    level = g.out_csr() @ state.levels[-1]
     state.levels.append(np.multiply(level, state.alpha, out=level))
     state.r += 1
     state.katz += state.levels[-1]

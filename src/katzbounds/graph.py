@@ -293,12 +293,13 @@ class Graph:
     def apply_batch(self, batch: EdgeBatch) -> None:
         """Atomically delete then insert; validates everything first."""
         self.validate_batch(batch)
-        self._apply_validated(batch)
+        self._apply_validated(batch, self.out_degrees_after(batch))
 
-    def _apply_validated(self, batch: EdgeBatch) -> None:
-        """apply_batch for a batch validate_batch has already passed:
-        `indices` is spliced at positions all found before the batch, and
-        the row pointer is summed from the new out-degrees."""
+    def _apply_validated(self, batch: EdgeBatch,
+                         degrees: np.ndarray) -> None:
+        """apply_batch for a batch validate_batch has already passed, with
+        its out_degrees_after: `indices` is spliced at positions all found
+        before the batch, and the row pointer is summed from `degrees`."""
         indices = self._csr.indices
         gone = np.sort(self._find(*batch.dels.T)[0])
         # Sorted arcs take sorted positions, equal ones in target order.
@@ -313,7 +314,6 @@ class Graph:
             if at.size:
                 indices = np.insert(indices, at - np.searchsorted(gone, at),
                                     values)
-        degrees = self.out_degrees_after(batch)
         self._install(indices, np.concatenate([[0], np.cumsum(degrees)]))
 
     def validate_batch(self, batch: EdgeBatch) -> None:

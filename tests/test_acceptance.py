@@ -402,30 +402,3 @@ def test_09_conjugate_gradient_validates(pool, rmat_graph):
     report(9, ok, f"cg: worst error {worst:.2e} vs direct solve on {used} "
            f"graphs (cap 1e-8); top-100 stable under loose tolerance: "
            f"{top_equal}")
-
-
-def test_10_thread_count_never_changes_results(pool, rmat_graph):
-    """Rankings and bounds are identical for 1 and 8 worker threads."""
-    mismatches = 0
-    compared = 0
-    for g, alpha, _ in pool[::5]:
-        r1 = run(init(g, Criterion.ranking(1e-6), alpha=alpha,
-                      undirected=True, threads=1), g)
-        r8 = run(init(g, Criterion.ranking(1e-6), alpha=alpha,
-                      undirected=True, threads=8), g)
-        same = (np.array_equal(r1.order, r8.order)
-                and np.array_equal(r1.lower, r8.lower)
-                and np.array_equal(r1.upper, r8.upper))
-        mismatches += int(not same)
-        compared += 1
-    b1 = run(init(rmat_graph, Criterion.ranking(1e-6), undirected=True,
-                  threads=1), rmat_graph)
-    b8 = run(init(rmat_graph, Criterion.ranking(1e-6), undirected=True,
-                  threads=8), rmat_graph)
-    big_same = (np.array_equal(b1.order, b8.order)
-                and np.array_equal(b1.lower, b8.lower))
-    compared += 1
-    mismatches += int(not big_same)
-    ok = mismatches == 0
-    report(10, ok, f"thread invariance: {mismatches} mismatches over "
-           f"{compared} instances (orders and bounds compared bitwise)")

@@ -154,10 +154,13 @@ def test_cg_convergence_error_carries_partial():
     assert exc.value.iterations == exc.value.partial.iterations == 7
 
 
-def test_import_leaves_the_solver_module_unloaded():
+@pytest.mark.parametrize("module", ["scipy.sparse.linalg",
+                                    "concurrent.futures.thread"])
+def test_import_leaves_the_solver_module_unloaded(module):
     # cg_katz imports scipy's solvers itself; loaded at import, they cost
-    # every program about 10 MB of resident memory
-    code = "import sys, katzbounds; print('scipy.sparse.linalg' in sys.modules)"
+    # every program about 10 MB of resident memory. The engine runs on
+    # one thread, so no thread pool is loaded either.
+    code = f"import sys, katzbounds; print({module!r} in sys.modules)"
     src = str(Path(katzbounds.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

@@ -107,13 +107,26 @@ def test_usage_error_exits_two(capsys, tri):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["static", "compare"])
-def test_threads_default_to_one(capsys, starfile, command):
-    doc = run_json(capsys, [command, starfile, "--undirected"])
-    assert doc["parameters"]["threads"] == 1
-    doc = run_json(capsys, [command, starfile, "--undirected",
-                            "--threads", "2"])
-    assert doc["parameters"]["threads"] == 2
+@pytest.mark.parametrize("command", ["static", "compare", "dynamic"])
+def test_threads_default_to_one(capsys, tmp_path, starfile, command):
+    # Every command runs on one thread and the report no longer names a
+    # thread count. Only static still takes `--threads 1`, because
+    # perfbench's static-cold argv passes it; any other use exits 2.
+    batches = tmp_path / "b.txt"
+    batches.write_text("")
+    argv = [command, starfile] + ([str(batches)] if command == "dynamic"
+                                  else [])
+    doc = run_json(capsys, argv + ["--undirected"])
+    assert "threads" not in doc["parameters"]
+    refused = ["1", "2"]
+    if command == "static":
+        doc = run_json(capsys, argv + ["--undirected", "--threads", "1"])
+        assert "threads" not in doc["parameters"]
+        refused = ["2"]
+    for count in refused:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", count])
+        assert exc.value.code == 2, (argv, count)
 
 
 def test_dynamic_with_verify(tmp_path, capsys, tri):

@@ -308,6 +308,24 @@ def test_update_validates_each_batch_once(monkeypatch):
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
+def test_update_counts_post_batch_degrees_once(monkeypatch):
+    g = builders.cycle(12)
+    st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
+    run(st, g)
+    calls = []
+    degrees_after = Graph.out_degrees_after
+
+    def counting(self, batch):
+        calls.append(batch)
+        return degrees_after(self, batch)
+
+    monkeypatch.setattr(Graph, "out_degrees_after", counting)
+    batch = EdgeBatch(insertions=[(0, 6), (6, 0)], deletions=[(0, 1), (1, 0)])
+    update_batch(st, g, batch)
+    assert calls == [batch]
+    assert_state_matches(st, fresh_to_depth(g, st))
+
+
 @pytest.mark.parametrize("batch, error", [
     (EdgeBatch(deletions=[(0, 6), (6, 0)]), BatchPreconditionError),
     (EdgeBatch(insertions=[(0, 1), (1, 0)]), BatchPreconditionError),

@@ -68,12 +68,16 @@ def test_init_rejects_bad_shapes():
         init(g, Criterion.top_k(5, 1e-6))
     with pytest.raises(ParameterError):
         init(g, Criterion.pair(0, 7))
-    with pytest.raises(ParameterError):
-        init(g, Criterion.ranking(1e-6), threads=0)
     # undirected flag demands a symmetric arc set
     gd = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ParameterError):
         init(gd, Criterion.ranking(1e-6), undirected=True)
+
+
+def test_init_has_no_threads_keyword():
+    # the engine is single-threaded: a thread count is a caller's error
+    with pytest.raises(TypeError):
+        init(builders.path(4), Criterion.ranking(1e-6), threads=1)
 
 
 # ---- frozen values, derived by hand and checked against the dense oracle ----
@@ -584,20 +588,6 @@ def test_run_matches_lexsort_reference(undirected):
         np.testing.assert_array_equal(
             res.order, lexsort_order(ref.lower, np.arange(n)))
         assert res.separated_fraction == lexsort_separated_fraction(ref)
-
-
-# ---- threads ----
-
-def test_threads_bitwise_identical():
-    g = builders.er_graph(120, 0.06, seed=17)
-    st1 = init(g, Criterion.ranking(1e-8), undirected=True, threads=1)
-    st8 = init(g, Criterion.ranking(1e-8), undirected=True, threads=8)
-    r1 = run(st1, g)
-    r8 = run(st8, g)
-    assert r1.iterations_used == r8.iterations_used
-    np.testing.assert_array_equal(r1.lower, r8.lower)
-    np.testing.assert_array_equal(r1.upper, r8.upper)
-    np.testing.assert_array_equal(r1.order, r8.order)
 
 
 # ---- ranking witness ----
