@@ -8,6 +8,7 @@ methods), gen (write benchmark instances). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 import time
@@ -86,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--foster-tol", type=float, default=1e-9)
     p_compare.add_argument("--cg-tol", type=float, default=1e-15)
     _add_output_args(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
+    # compare ranks fully with the derived cap; _run reads these.
+    p_compare.set_defaults(func=cmd_compare, criterion="ranking", k=None,
+                           pair=None, max_iterations=None)
 
     p_gen = sub.add_parser("gen", help="write a benchmark edge list")
     p_gen.add_argument("out_path", help="output file")
@@ -162,7 +165,24 @@ def _emit(args, report: RunReport, rows: NodeTable) -> None:
         sys.stdout.write(text)
 
 
-def _engine_parameters(state: engine.KatzState) -> dict:
+def _run(args):
+    """Load the graph, then init and run the bounded engine on it.
+
+    Returns (graph, state, result, wall time of run).
+    """
+    g = load_edge_list(args.graph, undirected=args.undirected)
+    state = engine.init(g, _criterion(args), alpha=args.alpha,
+                        undirected=args.undirected,
+                        max_iterations=args.max_iterations)
+    start = time.perf_counter()
+    result = engine.run(state, g)
+    return g, state, result, time.perf_counter() - start
+
+
+def _report(command: str, state: engine.KatzState,
+            result: engine.RankingResult, wall: float, **kw) -> RunReport:
+    """The report fields static, dynamic and compare fill alike; `kw`
+    gives the rest."""
     crit = state.criterion
     params = {
         "criterion": crit.kind,
@@ -171,86 +191,53 @@ def _engine_parameters(state: engine.KatzState) -> dict:
         "gamma": state.gamma,
         "undirected": state.undirected,
     }
+    prefix = min(10, state.n)
     if crit.kind == engine.TOPK:
-        params["k"] = crit.k
+        params["k"] = prefix = crit.k
     if crit.kind == engine.PAIR:
         params["pair"] = [crit.u, crit.v]
-    return params
-
-
-def _prefix_length(state: engine.KatzState) -> int:
-    if state.criterion.kind == engine.TOPK:
-        return state.criterion.k
-    return min(10, state.n)
+    return RunReport(
+        command=command, method="katz-bounds", parameters=params,
+        iterations=result.iterations_used, wall_time_s=wall,
+        separated_fraction=result.separated_fraction,
+        ranking_prefix=result.top(prefix), **kw)
 
 
 # ---- subcommands ----
 
 def cmd_static(args) -> int:
-    g = load_edge_list(args.graph, undirected=args.undirected)
-    crit = _criterion(args)
-    state = engine.init(g, crit, alpha=args.alpha,
-                        undirected=args.undirected,
-                        max_iterations=args.max_iterations)
-    start = time.perf_counter()
-    result = engine.run(state, g)
-    wall = time.perf_counter() - start
-    report = RunReport(
-        command="static", method="katz-bounds",
-        parameters=_engine_parameters(state),
-        iterations=result.iterations_used, wall_time_s=wall,
-        separated_fraction=result.separated_fraction,
-        ranking_prefix=result.top(_prefix_length(state)),
-        nodes=_node_table(args, result))
+    _, state, result, wall = _run(args)
+    report = _report("static", state, result, wall,
+                     nodes=_node_table(args, result))
     _emit(args, report, report.nodes)
     return 0
 
 
 def cmd_dynamic(args) -> int:
-    g = load_edge_list(args.graph, undirected=args.undirected)
     batches = dynamic.load_batches(args.batches)
-    crit = _criterion(args)
-    state = engine.init(g, crit, alpha=args.alpha,
-                        undirected=args.undirected,
-                        max_iterations=args.max_iterations)
-    start = time.perf_counter()
-    engine.run(state, g)
-    initial_wall = time.perf_counter() - start
-    initial_iterations = state.r
+    g, state, result, initial_wall = _run(args)
 
     batch_reports = []
     for index, batch in enumerate(batches):
         start = time.perf_counter()
         dynamic.update_batch(state, g, batch)
-        wall = time.perf_counter() - start
-        stats = state.last_update_stats
         entry = {
             "batch": index,
             "insertions": len(batch.ins),
             "deletions": len(batch.dels),
-            "wall_time_s": wall,
-            "visited": stats.visited,
-            "level_sizes": stats.level_sizes,
-            "reactivated": stats.reactivated,
-            "aborted_level": stats.aborted_level,
-            "resumed_iterations": stats.resumed_iterations,
-            "matvecs": stats.matvecs,
-            "pushed_arcs": stats.pushed_arcs,
+            "wall_time_s": time.perf_counter() - start,
+            **dataclasses.asdict(state.last_update_stats),
         }
         if args.verify:
             entry["matches_static"] = _matches_fresh_static(state, g)
         batch_reports.append(entry)
 
-    result = engine.ranking_result(state)
-    report = RunReport(
-        command="dynamic", method="katz-bounds",
-        parameters=_engine_parameters(state),
-        iterations=state.r,
-        wall_time_s=initial_wall + sum(b["wall_time_s"] for b in batch_reports),
-        separated_fraction=result.separated_fraction,
-        ranking_prefix=result.top(_prefix_length(state)),
-        nodes=_node_table(args, result),
-        extra={"initial_iterations": initial_iterations,
+    final = engine.ranking_result(state)
+    report = _report(
+        "dynamic", state, final,
+        initial_wall + sum(b["wall_time_s"] for b in batch_reports),
+        nodes=_node_table(args, final),
+        extra={"initial_iterations": result.iterations_used,
                "initial_wall_time_s": initial_wall,
                "batches": batch_reports})
     _emit(args, report, report.nodes)
@@ -271,26 +258,20 @@ def _matches_fresh_static(state: engine.KatzState, g: Graph) -> bool:
 
 
 def cmd_compare(args) -> int:
-    g = load_edge_list(args.graph, undirected=args.undirected)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = set(methods) - {"katz", "foster", "cg"}
     if unknown:
         raise KatzError(f"unknown methods: {', '.join(sorted(unknown))}")
 
     # The bounded engine always runs: it anchors the agreement numbers.
-    state = engine.init(g, engine.Criterion.ranking(args.epsilon),
-                        alpha=args.alpha, undirected=args.undirected)
-    start = time.perf_counter()
-    result = engine.run(state, g)
-    katz_wall = time.perf_counter() - start
-    anchor = result.order
-
+    g, state, result, katz_wall = _run(args)
+    top = min(10, state.n)
     entries = [{
         "method": "katz-bounds",
         "iterations": result.iterations_used,
         "wall_time_s": katz_wall,
         "separated_fraction": result.separated_fraction,
-        "top": result.top(min(10, state.n)),
+        "top": result.top(top),
         "ranking_agreement": 1.0,
     }]
     for name in methods:
@@ -303,22 +284,19 @@ def cmd_compare(args) -> int:
             sv = baselines.cg_katz(g, alpha=state.alpha,
                                    residual_tol=args.cg_tol)
         wall = time.perf_counter() - start
+        order = sv.ranking()
         entries.append({
             "method": sv.method,
             "iterations": sv.iterations,
             "residual": sv.residual,
             "wall_time_s": wall,
-            "top": [int(v) for v in sv.ranking()[:min(10, state.n)]],
-            "ranking_agreement": concordant_fraction(anchor, sv.ranking()),
+            "top": [int(v) for v in order[:top]],
+            "ranking_agreement": concordant_fraction(result.order, order),
         })
 
-    report = RunReport(
-        command="compare", method="katz-bounds",
-        parameters=_engine_parameters(state),
-        iterations=result.iterations_used,
-        wall_time_s=katz_wall + sum(e["wall_time_s"] for e in entries[1:]),
-        separated_fraction=result.separated_fraction,
-        ranking_prefix=result.top(min(10, state.n)),
+    report = _report(
+        "compare", state, result,
+        katz_wall + sum(e["wall_time_s"] for e in entries[1:]),
         extra={"methods": entries})
     _emit(args, report, _node_table(args, result))
     return 0

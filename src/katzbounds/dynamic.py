@@ -46,7 +46,6 @@ class UpdateStats:
     products, the subset's arcs times the levels it computes.
     """
 
-    batch_size: int = 0
     visited: int = 0
     level_sizes: list[int] = field(default_factory=list)
     reactivated: int = 0
@@ -171,7 +170,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
         state.max_iterations = default_iteration_cap(
             state.alpha, new_max, state.epsilon)
 
-    stats = UpdateStats(batch_size=len(batch))
+    stats = UpdateStats()
     affected = np.zeros(state.n, dtype=bool)
     affected[batch.ins[:, 0]] = affected[batch.dels[:, 0]] = True
     sources = np.flatnonzero(affected)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+from .graph import _distinct
 
 MODELS = ("complete", "star", "path", "grid", "rmat")
 
@@ -88,10 +89,7 @@ def rmat_edges(n: int, edge_factor: int = 8, seed: int = 0) -> np.ndarray:
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keep = lo != hi
-    packed = np.sort(lo[keep] * n + hi[keep])
-    first = np.ones(packed.size, dtype=bool)
-    np.not_equal(packed[1:], packed[:-1], out=first[1:])
-    return _pairs(*np.divmod(packed[first], n))
+    return _pairs(*np.divmod(_distinct(lo[keep] * n + hi[keep]), n))
 
 
 def generate(model: str, n: int, *, seed: int = 0,

@@ -404,16 +404,16 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
     if parsed is None:
         parsed = _parse_lines(
             io.StringIO(text) if isinstance(text, str) else io.BytesIO(data))
-    declared, pairs, lines_read = parsed
+    header, pairs, lines_read = parsed
     max_id = int(pairs.max()) if pairs.size else -1
-    node_count = declared if declared is not None else max_id + 1
+    node_count = header[0] if header is not None else max_id + 1
     if max_id >= node_count:
         raise NodeRangeError(
             f"node id {max_id} exceeds declared universe of {node_count}")
     limit = max(MIN_NODE_LIMIT, NODES_PER_ARC_LINE * len(pairs))
     if node_count > limit:
-        where = f"line {_header_line(data)}: NODES header" \
-            if declared is not None else f"node id {max_id}"
+        where = f"line {header[1]}: NODES header" \
+            if header is not None else f"node id {max_id}"
         raise NodeRangeError(
             f"{where} implies {node_count} nodes for {len(pairs)} arc "
             f"lines; a file may hold at most {limit}")
@@ -425,14 +425,6 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
     return g
 
 
-def _header_line(data: bytes) -> int:
-    """Line number of the NODES header, the first line that is neither
-    blank nor a comment."""
-    for lineno, line in text_lines(io.BytesIO(data)):
-        if line and line[0] not in "#%":
-            return lineno
-
-
 # The tokenizer works through the text in blocks of whole lines of about
 # this many bytes, which bounds its scratch memory.
 _BLOCK_BYTES = 1 << 20
@@ -441,14 +433,16 @@ _BLOCK_BYTES = 1 << 20
 def _tokenize(data: bytes):
     """Vectorized parse of a plainly well-formed edge list.
 
-    Returns (declared node count or None, (k, 2) int32 arcs, lines read),
-    or None when anything is off: a malformed header, a non-digit outside
-    comments, a line without exactly two ids, an id of more than ten
-    digits or above MAX_NODE_ID, or invalid UTF-8. _parse_lines then
-    decides, and reports any error with its line.
+    Returns (header, (k, 2) int32 arcs, lines read), the header being
+    (declared node count, its line number) or None. Returns None when
+    anything is off: a malformed header, a non-digit outside comments, a
+    line without exactly two ids, an id of more than ten digits or above
+    MAX_NODE_ID, or invalid UTF-8. _parse_lines then decides, and reports
+    any error with its line.
     """
-    declared, offset, start = None, 0, 0
-    for line in io.BytesIO(data):  # up to the first non-comment line
+    header, offset, start = None, 0, 0
+    # up to the first non-comment line
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
         offset += len(line)
         try:  # no block will hold the comment lines before a header
             line.decode("utf-8")
@@ -461,7 +455,7 @@ def _tokenize(data: bytes):
             if len(parts) != 2 or not parts[1].isdigit() or \
                     len(parts[1]) > 10 or int(parts[1]) > MAX_NODE_ID:
                 return None
-            declared, start = int(parts[1]), offset
+            header, start = (int(parts[1]), lineno), offset
         break
     blocks = [np.empty(0, dtype=np.int32)]
     while start < len(data):
@@ -471,7 +465,7 @@ def _tokenize(data: bytes):
             return None
         start = end
     lines_read = data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
-    return declared, np.concatenate(blocks).reshape(-1, 2), lines_read
+    return header, np.concatenate(blocks).reshape(-1, 2), lines_read
 
 
 def _tokenize_block(data: bytes):
@@ -539,7 +533,7 @@ def _blank_comments(data: bytes, b: np.ndarray, event: np.ndarray,
 
 def _parse_lines(source):
     """Line-by-line parse with exact error lines; same result as _tokenize."""
-    declared: int | None = None
+    header: tuple[int, int] | None = None
     ids = array("q")  # 16 bytes an arc, where a tuple of ints takes 120
     lineno = 0  # the number of lines read, once the loop is done
     header_allowed = True
@@ -551,7 +545,7 @@ def _parse_lines(source):
         if header_allowed and parts[0].upper() == "NODES":
             if len(parts) != 2:
                 raise ParseError("malformed NODES header", lineno)
-            declared = parse_id(parts[1], lineno)
+            header = parse_id(parts[1], lineno), lineno
             header_allowed = False
             continue
         header_allowed = False
@@ -559,7 +553,7 @@ def _parse_lines(source):
             raise ParseError(
                 f"expected two node ids, got {len(parts)} fields", lineno)
         ids.extend(parse_id(token, lineno) for token in parts)
-    return declared, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), lineno
+    return header, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), lineno
 
 
 def text_lines(source) -> Iterator[tuple[int, str]]:

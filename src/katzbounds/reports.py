@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from .graph import _distinct
+
 # Node tables beyond this many rows are truncated unless explicitly
 # requested in full.
 NODE_ROW_CAP = 10**6
@@ -130,10 +132,7 @@ def _fill_rows(table: NodeTable, row: str, sep: str) -> str:
     if not np.isfinite(values).all():
         format_float(values[~np.isfinite(values)][0])  # raises ValueError
     bits = values.view(np.uint64)
-    distinct = np.sort(bits)
-    first = np.ones(distinct.size, dtype=bool)
-    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
-    distinct = distinct[first]
+    distinct = _distinct(bits.copy())
     floats = distinct.view(np.float64)
     text = ("%.17g\n" * floats.size % tuple(floats.tolist())).split("\n")
     for i in np.flatnonzero((floats == np.trunc(floats)) &

@@ -137,10 +137,36 @@ def test_dynamic_with_verify(tmp_path, capsys, tri):
     assert doc["command"] == "dynamic"
     assert len(doc["batches"]) == 2
     for entry in doc["batches"]:
+        assert list(entry) == [
+            "batch", "insertions", "deletions", "wall_time_s", "visited",
+            "level_sizes", "reactivated", "aborted_level",
+            "resumed_iterations", "matvecs", "pushed_arcs", "matches_static"]
         assert entry["matches_static"] is True
         assert entry["matvecs"] >= entry["resumed_iterations"]
         assert entry["pushed_arcs"] >= 0
     assert doc["initial_iterations"] >= 1
+
+
+@pytest.mark.parametrize("criterion",
+                         [[], ["--criterion", "topk", "--k", "3"]],
+                         ids=["ranking", "topk"])
+def test_commands_share_the_run_fields(tmp_path, capsys, starfile, criterion):
+    # static, dynamic with no batch and compare run the same engine at
+    # the same epsilon, so the fields they share agree
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    common = [starfile, "--undirected", "--epsilon", "1e-7"]
+    docs = [run_json(capsys, ["static", *common, *criterion]),
+            run_json(capsys, ["dynamic", starfile, str(empty), *common[1:],
+                              *criterion])]
+    if not criterion:
+        docs.append(run_json(capsys, ["compare", *common,
+                                      "--methods", "katz"]))
+    assert docs[0]["nodes"] == docs[1]["nodes"]
+    for key in ("parameters", "iterations", "separated_fraction",
+                "ranking_prefix"):
+        assert all(doc[key] == docs[0][key] for doc in docs), key
+    assert len(docs[0]["ranking_prefix"]) == (3 if criterion else 6)
 
 
 def test_dynamic_inadmissible_batch_fails_cleanly(tmp_path, capsys, starfile):

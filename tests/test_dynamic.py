@@ -427,7 +427,7 @@ def test_failed_resume_leaves_documented_state():
     assert g.version == before + 1
     assert st.graph_version == g.version
     assert st.last_update_stats is not None
-    assert st.last_update_stats.batch_size == 2
+    assert st.last_update_stats.visited == 2  # the endpoints 0 and 5
     assert_state_matches(st, fresh_to_depth(g, st))
     st.max_iterations = 1000
     run(st, g)

@@ -532,7 +532,8 @@ def test_vectorized_loader_matches_line_parser(text, undirected):
     assert fast[2] == slow[2]
     np.testing.assert_array_equal(fast[1], slow[1])
     declared, pairs, _ = slow
-    n = declared if declared is not None else int(pairs.max(initial=-1)) + 1
+    n = declared[0] if declared is not None \
+        else int(pairs.max(initial=-1)) + 1
     expected = Graph.from_edges(n, [tuple(p) for p in pairs.tolist()],
                                 undirected=undirected)
     for source in (io.BytesIO(data), io.StringIO(text)):
