@@ -17,8 +17,9 @@ ties included, are bitwise those of a fresh run. The update grows the
 ball by one shell per level while its rows hold at most a quarter of
 all arcs, and on directed graphs while the front's in-arcs do too; the
 last such ball is B_{s-1}. Levels 1..s are one product each of the
-matrix's rows in that ball, levels s+1..r whole products. The ball's
-partial sums are summed again, or, when s < r, every node's.
+matrix's rows in that ball, levels s+1..r whole products. A local
+level is added to its rows' partial sums as it is computed; only a
+whole level makes every node's levels be summed again.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .engine import (RANKING, TOPK, KatzState, check_converged,
                      default_iteration_cap, iterate_once, tail_gamma)
@@ -67,42 +67,41 @@ class UpdateStats:
 LARGE_FRONTIER_SHARE = 0.25
 
 
-def _row_arcs(A: sparse.csr_matrix, rows: np.ndarray,
+def _row_arcs(indices: np.ndarray, starts: np.ndarray,
               counts: np.ndarray) -> np.ndarray:
-    """Column indices of the rows' arcs in CSR order, as intp: numpy
-    converts narrower index arrays on every use."""
-    starts = A.indptr[rows] - np.cumsum(counts) + counts
+    """Column indices of the rows at `starts` holding `counts` arcs, in CSR
+    order, as intp: numpy converts narrower index arrays on every use."""
+    starts = starts - np.cumsum(counts) + counts
     pos = np.repeat(starts, counts) + np.arange(counts.sum())
-    return A.indices[pos].astype(np.intp)
+    return indices[pos].astype(np.intp)
 
 
 def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
-                      affected: np.ndarray,
-                      stats: UpdateStats) -> np.ndarray | slice:
-    """Bring levels 1..r up to date with g, the batch already applied,
-    growing the ball from the sources as the module docstring describes.
-
-    `affected` marks the sources on entry and the ball on exit. Returns
-    the nodes whose partial sums to sum again: B_{s-1}, or every node
-    when s < r.
-    """
+                      affected: np.ndarray, stats: UpdateStats) -> None:
+    """Bring levels 1..r and partial sums up to date with g, the batch
+    already applied, as the module docstring describes. `affected` marks
+    the sources on entry and the ball on exit."""
     alpha, n, A = state.alpha, state.n, g.out_csr()
     share = LARGE_FRONTIER_SHARE * A.nnz
     slot = np.empty(n, dtype=np.intp)
-    shells, front, arcs = [], sources, 0
+    shells, front, arcs, rev = [], sources, 0, A
     while True:
-        arcs += (A.indptr[front + 1] - A.indptr[front]).sum()
+        starts = A.indptr[front]
+        counts = A.indptr[front + 1] - starts
+        arcs += counts.sum()
         if arcs > share:
             break
         affected[front] = True
         shells.append(front)
         if len(shells) == state.r:
             break
-        rev = A if state.undirected else g.in_csr()
-        counts = rev.indptr[front + 1] - rev.indptr[front]
-        if counts.sum() > share:
-            break
-        nbrs = _row_arcs(rev, front, counts)
+        if not state.undirected:  # undirected, in-arcs are the out-arcs
+            rev = g.in_csr()
+            starts = rev.indptr[front]
+            counts = rev.indptr[front + 1] - starts
+            if counts.sum() > share:
+                break
+        nbrs = _row_arcs(rev.indices, starts, counts)
         if nbrs.size > LARGE_FRONTIER_SHARE * n:
             hit = np.zeros(n, dtype=bool)
             hit[nbrs] = True
@@ -119,11 +118,20 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
         rows = np.sort(np.concatenate(shells))
         sub = A[rows]
         stats.pushed_arcs = sub.nnz * s
+        katz = np.zeros(rows.size)
         for level in range(1, s + 1):
-            state.levels[level][rows] = alpha * (sub @ state.levels[level - 1])
+            y = sub @ state.levels[level - 1]
+            state.levels[level][rows] = np.multiply(y, alpha, out=y)
+            katz += y
+        if s == state.r:
+            state.katz[rows] = katz
+            return
     for level in range(s + 1, state.r + 1):
-        state.levels[level] = alpha * (A @ state.levels[level - 1])
-    return rows if s == state.r else slice(None)
+        y = A @ state.levels[level - 1]
+        state.levels[level] = np.multiply(y, alpha, out=y)
+    state.katz.fill(0.0)
+    for level in state.levels[1:]:
+        state.katz += level
 
 
 def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
@@ -132,8 +140,8 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     Validates everything (batch preconditions, post-update admissibility
     of alpha) before touching graph or state, then: the batch applied to
     g (one version bump), the levels that can have changed recomputed on
-    the post-batch graph, the partial sums of the recomputed nodes summed
-    again in level order, bounds refreshed under the new tail factor,
+    the post-batch graph and added to the partial sums as they are
+    computed, bounds refreshed under the new tail factor,
     nodes that may contend again reactivated, and finally ordinary
     iterations until the stopping rule holds once more. Levels, partial
     sums and bounds are then bitwise those of a fresh run to the same
@@ -176,14 +184,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     sources = np.flatnonzero(affected)
     g._apply_validated(batch, degrees)  # validated above, once
     state.graph_version = g.version
-    touched = _recompute_levels(state, g, sources, affected, stats)
-
-    # Sum the levels of every recomputed node again from zero, in level
-    # order, as a fresh run does; after a whole level, of every node.
-    katz = np.zeros_like(state.katz[touched])
-    for level in state.levels[1:]:
-        katz += level[touched]
-    state.katz[touched] = katz
+    _recompute_levels(state, g, sources, affected, stats)
     affected[batch.ins[:, 1]] = affected[batch.dels[:, 1]] = True
     stats.visited = int(np.count_nonzero(affected))
 

@@ -9,8 +9,9 @@ inside each row, vectorised over all arcs asked about. Degrees, the
 maximum out-degree, `arcs()` and the symmetry test are derived from the
 same arrays; the transposed matrix is built only when `in_csr()` is
 asked for. A mutation validates its whole batch, then splices `indices`
-once (entries leave and enter at their sorted positions, row pointers
-follow by a cumulative sum) and bumps the version once.
+once at the positions the validation found (entries leave and enter in
+sorted order, row pointers follow by a cumulative sum) and bumps the
+version once.
 
 Memory is about 12 bytes per arc (index, value) plus 4-8 bytes per node,
 against roughly 140 bytes per arc for Python sets.
@@ -34,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (BatchPreconditionError, NodeRangeError,
-                     ParameterError, ParseError)
+                     ParameterError, ParseError, StateError)
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +197,7 @@ class Graph:
     """Mutable directed graph over the fixed universe 0..node_count-1."""
 
     __slots__ = ("_n", "_csr", "_ones", "_in_csr", "_symmetric", "_max_out",
-                 "_version")
+                 "_version", "_checked")
 
     def __init__(self, node_count: int):
         if node_count < 0:
@@ -297,15 +298,17 @@ class Graph:
 
     def _apply_validated(self, batch: EdgeBatch,
                          degrees: np.ndarray) -> None:
-        """apply_batch for a batch validate_batch has already passed, with
-        its out_degrees_after: `indices` is spliced at positions all found
-        before the batch, and the row pointer is summed from `degrees`."""
+        """apply_batch for the batch validate_batch passed last, with its
+        out_degrees_after: `indices` is spliced at the positions it found,
+        and the row pointer is summed from `degrees`."""
+        checked, ins_pos, del_pos = self._checked or (None, None, None)
+        if checked is not batch:
+            raise StateError("batch not validated since the last change")
         indices = self._csr.indices
-        gone = np.sort(self._find(*batch.dels.T)[0])
+        gone = np.sort(del_pos)
         # Sorted arcs take sorted positions, equal ones in target order.
-        new = batch.ins[np.argsort(_pair_keys(batch.ins))]
-        at = self._find(*new.T)[0]
-        values = new[:, 1].astype(np.int32)
+        order = np.argsort(_pair_keys(batch.ins))
+        at, values = ins_pos[order], batch.ins[order, 1].astype(np.int32)
         if gone.size + at.size <= SPLICE_BY_SLICES:
             indices = _splice(indices, gone, at, values)
         else:  # each call copies the array, so only the needed ones run
@@ -320,17 +323,23 @@ class Graph:
         """Raise for the first arc, insertions first, that is out of
         range, inserted while present or deleted while absent."""
         batch.validate_shape()
+        checked = [batch]
         for arcs, present, verb, why in (
                 (batch.ins, False, "insert", "already present"),
                 (batch.dels, True, "delete", "not present")):
             ok = ((arcs >= 0) & (arcs < self._n)).all(axis=1)
-            ok[ok] = self._find(*arcs[ok].T)[1] == present
+            pos = np.empty(0, dtype=np.intp)
+            if ok.size:  # an empty side needs no search
+                pos, hit = self._find(*arcs[ok].T)
+                ok[ok] = hit == present
             if not ok.all():
                 u, v = arcs[int(np.argmin(ok))].tolist()
                 self._check_node(u)
                 self._check_node(v)
                 raise BatchPreconditionError(
                     f"cannot {verb} arc ({u}, {v}): {why}")
+            checked.append(pos)
+        self._checked = tuple(checked)  # positions for _apply_validated
 
     # ---- internals ----
 
@@ -351,7 +360,7 @@ class Graph:
         self._csr = sparse.csr_matrix(
             (self._ones[:indices.size], indices, indptr), shape=(n, n))
         self._max_out = int(np.diff(indptr).max()) if n else 0
-        self._in_csr = self._symmetric = None
+        self._in_csr = self._symmetric = self._checked = None
         self._version += 1
 
     def _find(self, u: np.ndarray, v: np.ndarray):

@@ -60,7 +60,10 @@ def test_update_rounds_bitwise_equal_fresh(kind, share, monkeypatch):
     delete/re-insert rounds of 1, 10 and 100 edges, levels, partial sums
     and bounds equal a fresh run's bit for bit, and so does the top-25
     order, ties included. At the arc share 1.0 every level is local, at
-    0.0 the update computes whole products from level 1."""
+    0.0 the update computes whole products from level 1. At the default
+    0.25 each batch's local levels used the reverse-BFS balls of the
+    pre-batch graph, multiplied the arcs of the last one once per local
+    level, and left the rest to whole products."""
     monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", share)
     g = bitwise_graph(kind)
     undirected = kind != "rmat-directed"
@@ -73,10 +76,20 @@ def test_update_rounds_bitwise_equal_fresh(kind, share, monkeypatch):
         if undirected:
             edit += [(v, u) for u, v in edit]
         for batch in (EdgeBatch(deletions=edit), EdgeBatch(insertions=edit)):
+            before, depth = Graph.from_edges(g.node_count, list(g.arcs())), st.r
             update_batch(st, g, batch)
+            stats = st.last_update_stats
             if share in (0.0, 1.0):  # all whole, or all local
-                local = st.last_update_stats.aborted_level is None
+                local = stats.aborted_level is None
                 assert local == (share == 1.0)
+            else:
+                s = len(stats.level_sizes)
+                balls = reverse_bfs_balls(before, batch, s)
+                assert stats.level_sizes == [len(ball) for ball in balls]
+                degree = g.out_degrees()
+                arcs = sum(degree[v] for v in balls[-1]) if s else 0
+                assert stats.pushed_arcs == arcs * s
+                assert stats.matvecs == depth - s + stats.resumed_iterations
             fresh = fresh_to_depth(g, st)
             assert_state_matches(st, fresh)
             assert ranking_result(st).top(25) == ranking_result(fresh).top(25)
@@ -183,7 +196,7 @@ def test_update_bumps_graph_version_once(share, monkeypatch):
 
 # ---- BFS abort and locality ----
 
-def test_theta_zero_forces_full_recompute(monkeypatch):
+def test_share_zero_forces_full_recompute(monkeypatch):
     """At the arc share 0.0 every level is a whole product."""
     monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", 0.0)
     g = builders.cycle(12)
@@ -306,6 +319,34 @@ def test_update_validates_each_batch_once(monkeypatch):
     update_batch(st, g, batch)
     assert calls == [batch]
     assert_state_matches(st, fresh_to_depth(g, st))
+
+
+def test_update_searches_each_nonempty_side_once(monkeypatch):
+    """Validation's arc search also gives the splice its positions, and
+    an empty side is not searched."""
+    g = builders.cycle(12)
+    st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
+    run(st, g)
+    calls = []
+    find = Graph._find
+
+    def counting(self, u, v):
+        calls.append(len(u))
+        return find(self, u, v)
+
+    monkeypatch.setattr(Graph, "_find", counting)
+    chord, side = [(0, 6), (6, 0)], [(0, 1), (1, 0)]
+    for batch, searched in ((EdgeBatch(insertions=chord), [2]),
+                            (EdgeBatch(deletions=side), [2]),
+                            (EdgeBatch(insertions=side, deletions=chord), [2, 2]),
+                            (EdgeBatch(), [])):
+        calls.clear()
+        update_batch(st, g, batch)
+        assert calls == searched
+        assert_state_matches(st, fresh_to_depth(g, st))
+    calls.clear()
+    g.apply_batch(EdgeBatch(insertions=chord))
+    assert calls == [2]
 
 
 def test_update_counts_post_batch_degrees_once(monkeypatch):

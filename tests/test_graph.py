@@ -10,7 +10,7 @@ import pytest
 
 from katzbounds import (BatchPreconditionError, EdgeBatch, Graph,
                         NodeRangeError, ParameterError, ParseError,
-                        dumps_edge_list, load_edge_list)
+                        StateError, dumps_edge_list, load_edge_list)
 from katzbounds import graph
 
 import builders
@@ -139,6 +139,21 @@ def test_validate_batch_against_graph():
             check(EdgeBatch(insertions=[], deletions=[(1, 2)]))
     assert g.version == version and list(g.arcs()) == [(0, 1)]
     g.validate_batch(EdgeBatch(insertions=[(1, 2)], deletions=[(0, 1)]))
+
+
+def test_splice_takes_only_the_batch_validated_last():
+    """The splice uses the positions validation found, so it refuses a
+    batch other than the one validated last, or one already applied."""
+    g = builders.cycle(6)
+    first, second = EdgeBatch(insertions=[(0, 3)]), EdgeBatch(insertions=[(1, 4)])
+    g.validate_batch(first)
+    g.validate_batch(second)
+    with pytest.raises(StateError):
+        g._apply_validated(first, g.out_degrees_after(first))
+    g._apply_validated(second, g.out_degrees_after(second))
+    with pytest.raises(StateError):
+        g._apply_validated(second, g.out_degrees_after(second))
+    assert g.has_arc(1, 4) and not g.has_arc(0, 3)
 
 
 def test_apply_batch_and_revert():
