@@ -206,9 +206,10 @@ def _report(command: str, state: engine.KatzState,
 # ---- subcommands ----
 
 def cmd_static(args) -> int:
-    _, state, result, wall = _run(args)
+    g, state, result, wall = _run(args)
     report = _report("static", state, result, wall,
                      nodes=_node_table(args, result))
+    del g, state, result  # freed before the write, the memory peak
     _emit(args, report, report.nodes)
     return 0
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (RANKING, TOPK, KatzState, check_converged,
-                     default_iteration_cap, iterate_once, tail_gamma)
-from .errors import ConvergenceError, ParameterError, ParseError, StateError
+from .engine import (KatzState, _converge, default_iteration_cap,
+                     tail_gamma, validate_alpha)
+from .errors import ParameterError, ParseError, StateError
 from .graph import EdgeBatch, Graph, parse_id, text_lines
 
 
@@ -38,12 +38,16 @@ from .graph import EdgeBatch, Graph, parse_id, text_lines
 class UpdateStats:
     """Instrumentation for one batch update.
 
+    `visited` counts the batch's endpoints and the nodes of B_{s-1}.
     `level_sizes` are the sizes of the balls B_0..B_{s-1} that levels
     1..s recomputed; `aborted_level` is s + 1, the first level computed
-    by a whole product, or None when every level was local. `matvecs`
-    counts passes over the whole matrix (whole levels and resumed
-    iterations); `pushed_arcs` counts the arcs multiplied by row-subset
-    products, the subset's arcs times the levels it computes.
+    by a whole product, or None when every level was local.
+    `reactivated` counts the inactive nodes that passed check_converged's
+    survivor test again. `resumed_iterations` counts the iterations run
+    after the repair, also when the cap ends them. `matvecs` counts passes
+    over the whole matrix (whole levels and resumed iterations);
+    `pushed_arcs` counts the arcs multiplied by row-subset products, the
+    subset's arcs times the levels it computes.
     """
 
     visited: int = 0
@@ -137,22 +141,23 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
 def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     """Apply an arc batch to g and bring the state back to convergence.
 
-    Validates everything (batch preconditions, post-update admissibility
-    of alpha) before touching graph or state, then: the batch applied to
-    g (one version bump), the levels that can have changed recomputed on
-    the post-batch graph and added to the partial sums as they are
-    computed, bounds refreshed under the new tail factor,
-    nodes that may contend again reactivated, and finally ordinary
-    iterations until the stopping rule holds once more. Levels, partial
-    sums and bounds are then bitwise those of a fresh run to the same
-    depth. An iteration cap that init derived is derived again for the
-    post-batch max out-degree first; a cap the caller gave stays as
-    given. Instrumentation lands in state.last_update_stats.
+    Validates everything before touching graph or state: the batch's
+    preconditions, and alpha against the post-batch max out-degree by
+    init's own test. Then applies the batch to g (one version bump),
+    recomputes the levels that can have changed on the post-batch graph,
+    adding them to the partial sums as it goes, and refreshes the bounds
+    under the new tail factor. An inactive node comes back when upper -
+    epsilon reaches the least active lower bound, check_converged's
+    survivor test (only top-k checks drop nodes). Last, run's own loop
+    iterates until the stopping rule holds again. Levels, partial sums
+    and bounds are then bitwise those of a fresh run to the same depth.
+    A cap init derived is derived again for the new max out-degree, a
+    cap the caller gave stays; stats land in state.last_update_stats.
 
-    If those iterations reach the cap, ConvergenceError is raised and the
-    update is not rolled back: the batch stays applied (one version
-    bump), state.graph_version equals g.version, the levels and bounds
-    are those of a valid state at depth state.r, and
+    If those iterations reach the cap, run's ConvergenceError is raised
+    and the update is not rolled back: the batch stays applied (one
+    version bump), state.graph_version equals g.version, the levels and
+    bounds are those of a valid state at depth state.r, and
     state.last_update_stats is set. Raising state.max_iterations and
     calling run(state, g) continues from there.
     """
@@ -165,14 +170,9 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
         raise ParameterError(
             "state is in undirected mode; batch must contain both "
             "directions of every edge")
-
-    # Admission check on the post-update degrees, before any mutation.
     degrees = g.out_degrees_after(batch)
     new_max = int(degrees.max()) if state.n else 0
-    if new_max > 0 and state.alpha >= 1.0 / new_max:
-        raise ParameterError(
-            f"batch raises max out-degree to {new_max}; alpha={state.alpha} "
-            f"would leave the walk series divergent")
+    validate_alpha(state.alpha, new_max)
 
     if state.derived_cap:
         state.max_iterations = default_iteration_cap(
@@ -191,26 +191,21 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     state.gamma = tail_gamma(state.alpha, new_max)
     state.refresh_bounds()
 
-    # Nodes written off earlier may contend again after the update.
-    if state.criterion.kind in (RANKING, TOPK) and state.active.size < state.n:
-        floor = float(np.min(state.lower[state.active])) - state.epsilon
-        inactive = np.ones(state.n, dtype=bool)
-        inactive[state.active] = False
-        back = np.flatnonzero(inactive & (state.upper >= floor))
-        if back.size:
-            state.active = np.concatenate([state.active, back])
-            stats.reactivated = int(back.size)
+    # Nodes left out stay out: later top-k thresholds are at least this.
+    if state.active.size < state.n:
+        back = state.upper - state.epsilon >= state.lower[state.active].min()
+        back[state.active] = False
+        back = np.flatnonzero(back)
+        state.active = np.concatenate([state.active, back])
+        stats.reactivated = back.size
 
-    while not check_converged(state):
-        if state.r >= state.max_iterations:
-            state.last_update_stats = stats
-            raise ConvergenceError(
-                f"stopping rule unmet after resuming to {state.r} iterations",
-                iterations=state.r, gap=state.gap())
-        iterate_once(state, g)
-        stats.resumed_iterations += 1
-        stats.matvecs += 1
-    state.last_update_stats = stats
+    depth = state.r
+    try:
+        _converge(state, g)
+    finally:
+        stats.resumed_iterations = state.r - depth
+        stats.matvecs += stats.resumed_iterations
+        state.last_update_stats = stats
 
 
 # ---- batch file format ----

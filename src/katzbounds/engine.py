@@ -136,7 +136,7 @@ class KatzState:
     alpha * gamma * levels[r] and, from r = 2 on, the two-step tail
     q / (1 - q) * (levels[r-1] + levels[r]) with q = max(levels[2]).
     `active` is the ordered id array of nodes still contending for the
-    requested ranking; it only ever shrinks during a static run. A
+    requested ranking; top-k checks shrink it, update_batch regrows it. A
     ranking check that finds a witness of non-convergence leaves it in
     the previous order, which need not be sorted by the current bounds.
     alpha is fixed at init; gamma is tail_gamma of the current graph's
@@ -390,16 +390,20 @@ def run(state: KatzState, g: Graph) -> RankingResult:
 
     Always performs at least one iteration so bounds are meaningful.
     """
-    while True:
-        iterate_once(state, g)
-        if check_converged(state):
-            break
+    iterate_once(state, g)
+    _converge(state, g)
+    return ranking_result(state)
+
+
+def _converge(state: KatzState, g: Graph) -> None:
+    """Check, raise at the cap, iterate: how run and update_batch end."""
+    while not check_converged(state):
         if state.r >= state.max_iterations:
             raise ConvergenceError(
                 f"stopping rule still unmet after {state.r} iterations "
                 f"(widest bound interval {state.gap():.3e})",
                 iterations=state.r, gap=state.gap())
-    return ranking_result(state)
+        iterate_once(state, g)
 
 
 def ranking_result(state: KatzState) -> RankingResult:

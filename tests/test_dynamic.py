@@ -401,25 +401,34 @@ def test_rejected_batch_leaves_graph_and_state_untouched(batch, error):
 # ---- reactivation ----
 
 def test_topk_reactivates_displaced_nodes():
-    # hub star plus a pendant cluster; deleting hub arcs demotes it and
-    # previously deactivated nodes must come back into play
-    edges = [(0, i) for i in range(1, 12)]
-    edges += [(12, 13), (13, 14), (12, 14)]
-    g = Graph.from_edges(15, edges, undirected=True)
-    st = init(g, Criterion.top_k(2, 1e-6), alpha=0.05, undirected=True)
+    # two stars: hub 0 on ten leaves leads hub 20 on six, so the top-1
+    # check drops hub 20; deleting eight of hub 0's edges puts it ahead
+    edges = [(0, i) for i in range(1, 11)] + [(20, i) for i in range(21, 27)]
+    g = Graph.from_edges(27, edges, undirected=True)
+    st = init(g, Criterion.top_k(1, 1e-6), alpha=0.05, undirected=True)
     run(st, g)
-    assert st.active.size < 15
-    dels = []
-    for leaf in range(4, 12):
-        dels += [(0, leaf), (leaf, 0)]
-    update_batch(st, g, EdgeBatch(insertions=[], deletions=dels))
-    assert st.last_update_stats.reactivated > 0
-    assert check_converged(st)
-    # fresh run on the mutated graph agrees on the winners
-    fresh = init(g, Criterion.top_k(2, 1e-6), alpha=0.05, undirected=True)
-    res_fresh = run(fresh, g)
-    res_dyn = ranking_result(st)
-    assert res_dyn.top(2) == res_fresh.top(2)
+    assert st.active.tolist() == [0]
+    dels = [(0, leaf) for leaf in range(3, 11)]
+    dels += [(v, u) for u, v in dels]
+    update_batch(st, g, EdgeBatch(deletions=dels))
+    assert st.last_update_stats.reactivated == 1
+    # the certified top 1 is the active prefix: without hub 20 brought
+    # back it would still be [0]
+    assert st.active.tolist() == [20]
+    fresh = init(g, Criterion.top_k(1, 1e-6), alpha=0.05, undirected=True)
+    assert run(fresh, g).top(1) == ranking_result(st).top(1) == [20]
+
+
+def test_empty_batch_reactivates_nothing():
+    # the old rule, upper >= min(lower[active]) - eps, brought back 1,127
+    # nodes here although no bound moved
+    g = builders.grid(64, 64)
+    st = init(g, Criterion.top_k(25, 1e-6), undirected=True)
+    run(st, g)
+    active = st.active.copy()
+    update_batch(st, g, EdgeBatch())
+    assert st.last_update_stats.reactivated == 0
+    np.testing.assert_array_equal(st.active, active)
 
 
 def test_resumed_iterations_counted():
@@ -458,17 +467,29 @@ def test_failed_resume_leaves_documented_state():
     st = init(g, Criterion.score(1e-9), alpha=0.3, undirected=True,
               max_iterations=1000)
     run(st, g)
-    st.max_iterations = st.r  # no headroom for resumed iterations
+    depth = st.r
+    st.max_iterations = depth + 2  # headroom for two resumed iterations
     before = g.version
     # max degree 2 -> 3 raises the tail factor from 5 to 30
     batch = EdgeBatch(insertions=[(0, 5), (5, 0)])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as update_exc:
         update_batch(st, g, batch)
     assert g.has_arc(0, 5) and g.has_arc(5, 0)
     assert g.version == before + 1
     assert st.graph_version == g.version
-    assert st.last_update_stats is not None
-    assert st.last_update_stats.visited == 2  # the endpoints 0 and 5
+    stats = st.last_update_stats
+    assert stats is not None
+    assert stats.visited == 2  # the endpoints 0 and 5
+    assert stats.resumed_iterations == st.r - depth == 2
+    assert update_exc.value.iterations == st.r
+    # run and update_batch stop at the cap with one message
+    capped = init(g, st.criterion, alpha=0.3, undirected=True,
+                  max_iterations=st.r)
+    with pytest.raises(ConvergenceError) as run_exc:
+        run(capped, g)
+    assert str(run_exc.value) == str(update_exc.value)
+    assert str(run_exc.value).startswith(
+        f"stopping rule still unmet after {st.r} iterations ")
     assert_state_matches(st, fresh_to_depth(g, st))
     st.max_iterations = 1000
     run(st, g)
