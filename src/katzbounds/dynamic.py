@@ -40,8 +40,8 @@ class UpdateStats:
 
     `visited` counts the batch's endpoints and the nodes of B_{s-1}.
     `level_sizes` are the sizes of the balls B_0..B_{s-1} that levels
-    1..s recomputed; `aborted_level` is s + 1, the first level computed
-    by a whole product, or None when every level was local.
+    1..s recomputed, [] for a batch without arcs; `aborted_level` is
+    s + 1, the first level computed by a whole product, or None if none.
     `reactivated` counts the inactive nodes that passed check_converged's
     survivor test again. `resumed_iterations` counts the iterations run
     after the repair, also when the cap ends them. `matvecs` counts passes
@@ -85,6 +85,8 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
     """Bring levels 1..r and partial sums up to date with g, the batch
     already applied, as the module docstring describes. `affected` marks
     the sources on entry and the ball on exit."""
+    if not sources.size:
+        return
     alpha, n, A = state.alpha, state.n, g.out_csr()
     share = LARGE_FRONTIER_SHARE * A.nnz
     slot = np.empty(n, dtype=np.intp)
@@ -152,7 +154,8 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     iterates until the stopping rule holds again. Levels, partial sums
     and bounds are then bitwise those of a fresh run to the same depth.
     A cap init derived is derived again for the new max out-degree, a
-    cap the caller gave stays; stats land in state.last_update_stats.
+    cap the caller gave stays; stats land in state.last_update_stats. A
+    batch without arcs bumps no version and recomputes no level.
 
     If those iterations reach the cap, run's ConvergenceError is raised
     and the update is not rolled back: the batch stays applied (one

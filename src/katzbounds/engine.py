@@ -312,23 +312,24 @@ def epsilon_separated(state: KatzState, w: int, v: int) -> bool:
 def check_converged(state: KatzState) -> bool:
     """Evaluate the stopping rule; may permanently deactivate nodes.
 
-    For the ranking/topk rules the active set is partially sorted by
-    descending lower bound, nodes provably outside the top k are dropped
-    and the surviving prefix is tested for pairwise separation.
+    Ranking and top-k order `active` by descending lower bound as far as
+    they need and end in one test: adjacent active nodes are separated.
 
-    The ranking rule first looks for a witness in the previous order,
-    O(n) and without sorting: adjacent active nodes a, b with
-    max(lower[a], lower[b]) <= min(upper[a], upper[b]) - eps. It then
-    returns False and leaves `active` as it was. This is the answer the
-    sort would give. Say a ranks before b in the sorted order and x is the
-    node just above b there (possibly a): lower[x] <= lower[a], which is
-    at most min(upper[a], upper[b]) - eps as computed. Rounding x - eps
-    is monotone in x, so that is at most upper[b] - eps as computed, and
-    the adjacent-pair test fails for (x, b). Without a witness the sort
-    runs, so the converged iteration, the final order and the bounds are
-    those of checking every iteration with the sort. Nor does it sort an
-    active set that already is the full order, as it often is in the
-    last iteration.
+    Ranking first looks for a witness in the previous order, O(n) and
+    without sorting: adjacent active nodes a, b with max(lower[a],
+    lower[b]) <= min(upper[a], upper[b]) - eps. It then returns False and
+    leaves `active` as it was. This is the answer the sort would give. Say
+    a ranks before b in the sorted order and x is the node just above b
+    there (possibly a): lower[x] <= lower[a], which is at most
+    min(upper[a], upper[b]) - eps as computed. Rounding x - eps is
+    monotone in x, so that is at most upper[b] - eps as computed, and the
+    adjacent-pair test fails for (x, b). Without a witness it sorts
+    `active`, so the converged iteration, the final order and the bounds
+    are those of checking every iteration with the sort.
+
+    Top-k with more than k active nodes sorts the k best and drops the
+    rest whose upper bound minus eps is below the k-th lower bound; a
+    survivor means not converged. Otherwise it sorts all active nodes.
     """
     if state.r < 1:
         raise StateError("check_converged needs at least one iteration")
@@ -345,44 +346,33 @@ def check_converged(state: KatzState) -> bool:
             w, x = v, u
         return epsilon_separated(state, w, x)
 
-    k = state.n if kind == RANKING else state.criterion.k
     m = state.active
     lowers = state.lower[m]
+    k = state.criterion.k
     if kind == RANKING:
         uppers = state.upper[m]
         bottom = np.minimum(uppers[:-1], uppers[1:])
         bottom -= eps
         if (np.maximum(lowers[:-1], lowers[1:]) <= bottom).any():
             return False  # a witness; see above
-    if m.size > k:
+        state.active = descending_order(state.lower, m)
+    elif m.size > k:
         # Any k nodes bound the k-th largest lower bound from below, so
         # only nodes at or above the least of the first k can be in the
         # top k. Partitioning just those stays cheap when many tie.
         cand = np.flatnonzero(lowers >= lowers[:k].min())
-        top_pos = cand[np.argpartition(-lowers[cand], k - 1)[:k]]
-        rest = np.ones(m.size, dtype=bool)
-        rest[top_pos] = False
-        rest_pos = np.flatnonzero(rest)
-    else:
-        top_pos = np.arange(m.size)
-        rest_pos = np.empty(0, dtype=np.int64)
-    if kind == RANKING and _is_full_order(state.lower, m):
-        prefix = m  # what descending_order would return; k = n keeps all
-    else:
-        prefix = descending_order(state.lower, m[top_pos])
-    threshold = state.lower[prefix[-1]]
-    if rest_pos.size:
-        rest = m[rest_pos]
-        surviving = rest[state.upper[rest] - eps >= threshold]
+        top = np.zeros(m.size, dtype=bool)
+        top[cand[np.argpartition(-lowers[cand], k - 1)[:k]]] = True
+        prefix = descending_order(state.lower, m[top])
+        rest = m[~top]
+        surviving = rest[state.upper[rest] - eps >= state.lower[prefix[-1]]]
         state.active = np.concatenate([prefix, surviving])
+        if surviving.size:
+            return False
     else:
-        state.active = prefix
-    if state.active.size > k:
-        return False
-    if prefix.size >= 2:
-        seps = state.upper[prefix[1:]] - eps < state.lower[prefix[:-1]]
-        return bool(seps.all())
-    return True
+        state.active = descending_order(state.lower, m)
+    a = state.active
+    return bool((state.upper[a[1:]] - eps < state.lower[a[:-1]]).all())
 
 
 def run(state: KatzState, g: Graph) -> RankingResult:

@@ -241,7 +241,7 @@ class Graph:
 
     @property
     def version(self) -> int:
-        """Monotone counter bumped by every mutating call."""
+        """Monotone counter bumped by every call that changes the arc set."""
         return self._version
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -300,10 +300,14 @@ class Graph:
                          degrees: np.ndarray) -> None:
         """apply_batch for the batch validate_batch passed last, with its
         out_degrees_after: `indices` is spliced at the positions it found,
-        and the row pointer is summed from `degrees`."""
+        and the row pointer is summed from `degrees`. A batch without arcs
+        changes nothing, version and caches included."""
         checked, ins_pos, del_pos = self._checked or (None, None, None)
         if checked is not batch:
             raise StateError("batch not validated since the last change")
+        if len(batch) == 0:
+            self._checked = None
+            return
         indices = self._csr.indices
         gone = np.sort(del_pos)
         # Sorted arcs take sorted positions, equal ones in target order.

@@ -426,9 +426,22 @@ def test_empty_batch_reactivates_nothing():
     st = init(g, Criterion.top_k(25, 1e-6), undirected=True)
     run(st, g)
     active = st.active.copy()
+    before = [a.copy() for a in (*st.levels, st.katz, st.lower, st.upper)]
+    version, csr = g.version, g.out_csr()
     update_batch(st, g, EdgeBatch())
-    assert st.last_update_stats.reactivated == 0
+    stats = st.last_update_stats
+    assert stats.reactivated == 0
     np.testing.assert_array_equal(st.active, active)
+    # nor does anything else change: no version bump, no new matrix, no
+    # level recomputed
+    assert g.version == st.graph_version == version
+    assert g.out_csr() is csr
+    after = (*st.levels, st.katz, st.lower, st.upper)
+    assert len(after) == len(before)
+    for x, y in zip(after, before):
+        assert x.tobytes() == y.tobytes()
+    assert stats.level_sizes == []
+    assert stats.matvecs == stats.pushed_arcs == 0
 
 
 def test_resumed_iterations_counted():

@@ -612,6 +612,35 @@ def test_ranking_check_agrees_with_reference_every_iteration(case, eps):
             break
         assert st.r < st.max_iterations
     np.testing.assert_array_equal(st.active, ref.active)
+    # Top-k; k = n sorts all active nodes from the first check on.
+    for k in (1, 25, g.node_count):
+        st = init(g, Criterion.top_k(k, eps), undirected=undirected)
+        ref = init(g, Criterion.top_k(k, eps), undirected=undirected)
+        while True:
+            iterate_once(st, g)
+            iterate_once(ref, g)
+            done = check_converged(st)
+            assert done == lexsort_check_converged(ref), (k, st.r)
+            assert_same_top_k(st, ref, k)
+            if done:
+                break
+            assert st.r < st.max_iterations
+
+
+def assert_same_top_k(st, ref, k):
+    """The first k active nodes agree in order, the survivors after them
+    as a set (the reference orders them by argpartition). Among nodes tied
+    at the k-th lower bound either side's argpartition picks which ones
+    make the first k, so those agree only in their bounds."""
+    a, b = st.active, ref.active
+    np.testing.assert_array_equal(st.lower[a[:k]], ref.lower[b[:k]])
+    kth = st.lower[a[min(k, a.size) - 1]]
+
+    def untied(ids):
+        return ids[st.lower[ids] != kth].tolist()
+
+    assert untied(a[:k]) == untied(b[:k])
+    assert set(untied(a[k:])) == set(untied(b[k:]))
 
 
 def witness_state(lower, upper, active, eps):
@@ -644,20 +673,53 @@ def test_ranking_witness_boundary():
     st = witness_state([0.5, 0.5], [0.5, 0.5], [1, 0], eps)
     assert check_converged(st)
     assert st.active.tolist() == [0, 1]
+    # Node 0's interval inside node 1's: 0.5 <= 0.625 - 0.25 fails, no
+    # witness. The sorted pair then overlaps by exactly eps, 0.75 - 0.25
+    # < 0.5 fails, and the ranking is not yet certified.
+    st = witness_state([0.5, 0.25], [0.625, 0.75], [0, 1], eps)
+    assert not check_converged(st)
+    assert st.active.tolist() == [0, 1]
+    assert not lexsort_check_converged(st)
 
 
-def test_ranking_sorts_no_active_set_that_is_already_ordered(monkeypatch):
-    # On this graph the last check finds the active set already in the
-    # final order; sorting it again would return it unchanged.
+def test_topk_survivor_boundary():
+    # Dyadic values again. Node 1's upper bound minus eps reaches node 0's
+    # lower bound exactly, so it may still be in the top 1 and stays.
+    g = Graph.from_edges(2, [])
+    st = init(g, Criterion.top_k(1, 0.25))
+    iterate_once(st, g)
+    st.lower[:], st.upper[:] = [0.5, 0.25], [1.0, 0.75]
+    assert not check_converged(st)
+    assert st.active.tolist() == [0, 1]
+    # Below it, node 1 is out for good and node 0 alone is the top 1.
+    st.upper[1] = 0.625
+    assert check_converged(st)
+    assert st.active.tolist() == [0]
+
+
+def test_ranking_sorts_once_per_check_without_witness(monkeypatch):
+    # A ranking check sorts the active set exactly when the previous
+    # order holds no witness: adjacent nodes overlapping by epsilon.
     g = Graph.from_edges(1024, generate("rmat", 1024, seed=1), undirected=True)
-    sorted_ids = []
+    sorts = []
 
     def spy(values, ids):
-        assert not engine._is_full_order(values, np.asarray(ids))
-        sorted_ids.append(len(ids))
+        sorts.append(len(ids))
         return descending_order(values, ids)
 
     monkeypatch.setattr(engine, "descending_order", spy)
-    result = run(init(g, Criterion.ranking(1e-6), undirected=True), g)
-    assert sorted_ids == [1024]  # one sort, in an earlier check
-    assert engine._is_full_order(result.lower, result.order)
+    st = init(g, Criterion.ranking(1e-6), undirected=True)
+    witnessed = []
+    while True:
+        iterate_once(st, g)
+        lo, up = st.lower[st.active], st.upper[st.active]
+        witnessed.append(bool((np.maximum(lo[:-1], lo[1:])
+                               <= np.minimum(up[:-1], up[1:]) - st.epsilon
+                               ).any()))
+        sorts.clear()
+        done = check_converged(st)
+        assert sorts == ([] if witnessed[-1] else [1024]), st.r
+        if done:
+            break
+    # a sort at r = 5, a witness in that order at r = 6, a sort at r = 7
+    assert witnessed == [True] * 4 + [False, True, False]
