@@ -135,17 +135,14 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 
 def _criterion(args) -> engine.Criterion:
-    if args.criterion == "topk":
-        if args.k is None:
-            raise KatzError("--criterion topk needs --k")
-        return engine.Criterion.top_k(args.k, args.epsilon)
-    if args.criterion == "pair":
-        if args.pair is None:
-            raise KatzError("--criterion pair needs --pair U V")
-        return engine.Criterion.pair(args.pair[0], args.pair[1], args.epsilon)
-    if args.criterion == "score":
-        return engine.Criterion.score(args.epsilon)
-    return engine.Criterion.ranking(args.epsilon)
+    topk, pair = args.criterion == "topk", args.criterion == "pair"
+    if topk and args.k is None:
+        raise KatzError("--criterion topk needs --k")
+    if pair and args.pair is None:
+        raise KatzError("--criterion pair needs --pair U V")
+    u, v = args.pair if pair else (None, None)
+    return engine.Criterion(args.criterion, args.epsilon, u=u, v=v,
+                            k=args.k if topk else None)
 
 
 def _node_table(args, result: engine.RankingResult) -> NodeTable:

@@ -131,20 +131,17 @@ class KatzState:
 
     levels[i] holds alpha^i * walk_count_i per node (levels[0] is all
     ones), katz the partial sum of levels 1..r, and lower/upper the
-    current certified bounds, rewritten in place by refresh_bounds:
-    upper is katz plus the smaller of the single-step tail
-    alpha * gamma * levels[r] and, from r = 2 on, the two-step tail
-    q / (1 - q) * (levels[r-1] + levels[r]) with q = max(levels[2]).
+    current certified bounds, rewritten in place by refresh_bounds.
     `active` is the ordered id array of nodes still contending for the
     requested ranking; top-k checks shrink it, update_batch regrows it. A
     ranking check that finds a witness of non-convergence leaves it in
     the previous order, which need not be sorted by the current bounds.
     alpha is fixed at init; gamma is tail_gamma of the current graph's
-    maximum out-degree. `derived_cap` is True when max_iterations came
-    from default_iteration_cap rather than from the caller.
+    maximum out-degree, q max(levels[2]) at the last refresh (1.0 below
+    r = 2). `derived_cap` is True when init derived max_iterations.
     """
 
-    __slots__ = ("n", "alpha", "gamma", "criterion", "undirected", "r",
+    __slots__ = ("n", "alpha", "gamma", "q", "criterion", "undirected", "r",
                  "levels", "katz", "lower", "upper", "active", "graph_version",
                  "max_iterations", "derived_cap", "last_update_stats")
 
@@ -158,6 +155,7 @@ class KatzState:
         self.n = n
         self.alpha = alpha
         self.gamma = gamma
+        self.q = 1.0
         self.criterion = criterion
         self.undirected = undirected
         self.r = 0
@@ -180,36 +178,36 @@ class KatzState:
         """Widest remaining bound interval."""
         return float(np.max(self.upper - self.lower)) if self.n else 0.0
 
-    def refresh_bounds(self) -> None:
+    def refresh_bounds(self, rows: np.ndarray | None = None) -> None:
         """Set lower/upper from the partial sums and levels, in place.
 
-        lower = katz (+ alpha * L_r undirected). upper = katz + the smaller
-        of two tails: alpha * gamma * L_r, and for r >= 2, with
-        q = max(L_2) < 1, q / (1 - q) * (L_{r-1} + L_r). Proof of the
-        second: a walk of length i+2 from v is a walk of length i to some
-        x and a 2-walk from x, so L_{i+2} <= q * L_i; the levels after r,
-        summed in pairs, are at most (q + q^2 + ...) * (L_{r-1} + L_r).
-        lower holds the second tail before it is set, so nothing of size
-        n is allocated; katz + min(t1, t2) is bitwise
-        min(katz + t1, katz + t2), since rounding is monotone.
-        """
-        r, level = self.r, self.levels[self.r]
-        lower, upper = self.lower, self.upper
+        lower = katz (+ alpha * L_r undirected), upper = katz + the smaller
+        of the module docstring's two tails. lower holds the second tail
+        before it is set, so nothing of size n is allocated; katz +
+        min(t1, t2) is bitwise min(katz + t1, katz + t2), rounding being
+        monotone. Given `rows`, and the caller's word that no other row's
+        levels or partial sum changed since the last refresh, nor gamma,
+        it refreshes only those, bitwise; all if q changed."""
+        r, q = self.r, float(self.levels[2].max()) if self.r >= 2 else 1.0
+        at = slice(None) if rows is None or q != self.q else rows
+        self.q, level, katz = q, self.levels[r][at], self.katz[at]
+        lower, upper = self.lower[at], self.upper[at]  # copies only by rows
         np.multiply(level, self.alpha, out=upper)
         upper *= self.gamma
-        q = float(self.levels[2].max()) if r >= 2 else 1.0
         if q < 1.0:
-            np.add(self.levels[r - 1], level, out=lower)
+            np.add(self.levels[r - 1][at], level, out=lower)
             lower *= q / (1.0 - q)
             np.minimum(upper, lower, out=upper)
-        upper += self.katz
+        upper += katz
         # Undirected, every walk of length r extends by retracing its last
         # edge, so the next term is at least alpha * level r.
         if self.undirected:
             np.multiply(level, self.alpha, out=lower)
-            lower += self.katz
+            lower += katz
         else:
-            np.copyto(lower, self.katz)
+            np.copyto(lower, katz)
+        if at is rows:
+            self.lower[rows], self.upper[rows] = lower, upper
 
 
 # ---- results ----

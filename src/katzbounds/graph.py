@@ -1,17 +1,16 @@
 """Directed graph held in flat arrays, with batch mutation.
 
 The node universe is fixed at construction; arcs form a set (no parallel
-arcs, self-loops permitted). The arc set is stored once, as the
-compressed-row 0/1 matrix (CSR: `indptr`, int32 `indices` with each row
-sorted, float64 ones) that the numeric kernels multiply with. Membership
-and the position an arc takes in `indices` come from a binary search
-inside each row, vectorised over all arcs asked about. Degrees, the
-maximum out-degree, `arcs()` and the symmetry test are derived from the
-same arrays; the transposed matrix is built only when `in_csr()` is
-asked for. A mutation validates its whole batch, then splices `indices`
-once at the positions the validation found (entries leave and enter in
-sorted order, row pointers follow by a cumulative sum) and bumps the
-version once.
+arcs, self-loops permitted), stored once as the compressed-row 0/1
+matrix (CSR: `indptr`, int32 `indices` with each row sorted, float64
+ones) that the numeric kernels multiply with. Membership and the
+position an arc takes in `indices` come from a binary search inside
+each row, vectorised over all arcs asked about. Degrees, `arcs()` and
+the symmetry test are derived from the same arrays; the transposed
+matrix is built only when `in_csr()` is asked for. A mutation validates
+its whole batch, then splices `indices` once at the positions found,
+shifts the row pointers by the sources' degree changes and bumps the
+version once; the maximum out-degree follows from those rows.
 
 Memory is about 12 bytes per arc (index, value) plus 4-8 bytes per node,
 against roughly 140 bytes per arc for Python sets.
@@ -196,7 +195,7 @@ def _splice(a: np.ndarray, gone: np.ndarray, at: np.ndarray,
 class Graph:
     """Mutable directed graph over the fixed universe 0..node_count-1."""
 
-    __slots__ = ("_n", "_csr", "_ones", "_in_csr", "_symmetric", "_max_out",
+    __slots__ = ("_n", "_csr", "_ones", "_in_csr", "_symmetric", "_top",
                  "_version", "_checked")
 
     def __init__(self, node_count: int):
@@ -250,16 +249,10 @@ class Graph:
         return bool(self._find(np.array([u]), np.array([v]))[1][0])
 
     def max_out_degree(self) -> int:
-        return self._max_out
+        return self._top[0]
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._csr.indptr).astype(np.int64)
-
-    def out_degrees_after(self, batch: EdgeBatch) -> np.ndarray:
-        """The out-degrees after a batch that validate_batch passed."""
-        n, ins, dels = self._n, batch.ins, batch.dels
-        return self.out_degrees() + np.bincount(ins[:, 0], minlength=n) \
-            - np.bincount(dels[:, 0], minlength=n)
 
     def arcs(self) -> Iterator[Arc]:
         """All arcs, ordered by source, then target."""
@@ -294,16 +287,16 @@ class Graph:
     def apply_batch(self, batch: EdgeBatch) -> None:
         """Atomically delete then insert; validates everything first."""
         self.validate_batch(batch)
-        self._apply_validated(batch, self.out_degrees_after(batch))
+        self._apply_validated(batch)
 
-    def _apply_validated(self, batch: EdgeBatch,
-                         degrees: np.ndarray) -> None:
-        """apply_batch for the batch validate_batch passed last, with its
-        out_degrees_after: `indices` is spliced at the positions it found,
-        and the row pointer is summed from `degrees`. A batch without arcs
-        changes nothing, version and caches included."""
-        checked, ins_pos, del_pos = self._checked or (None, None, None)
-        if checked is not batch:
+    def _apply_validated(self, batch: EdgeBatch) -> None:
+        """apply_batch for the batch validate_batch passed last: `indices`
+        is spliced at the positions it found, the row pointer shifted (in
+        its own dtype, which scipy keeps) by the sources' degree changes; a
+        symmetric batch keeps a known symmetry. A batch without arcs changes
+        nothing, caches included."""
+        kept, ins_pos, del_pos, rows, change, top = self._checked or [None] * 6
+        if kept is not batch:
             raise StateError("batch not validated since the last change")
         if len(batch) == 0:
             self._checked = None
@@ -321,11 +314,17 @@ class Graph:
             if at.size:
                 indices = np.insert(indices, at - np.searchsorted(gone, at),
                                     values)
-        self._install(indices, np.concatenate([[0], np.cumsum(degrees)]))
+        indptr = self._csr.indptr
+        shift = np.concatenate([[0], np.cumsum(change)]).astype(indptr.dtype)
+        shift = np.repeat(shift, np.diff(rows, prepend=-1, append=self._n))
+        symmetric = batch.is_symmetric() if self._symmetric else None
+        self._install(indices, indptr + shift)
+        self._top, self._symmetric = top, symmetric
 
-    def validate_batch(self, batch: EdgeBatch) -> None:
+    def validate_batch(self, batch: EdgeBatch) -> int:
         """Raise for the first arc, insertions first, that is out of
-        range, inserted while present or deleted while absent."""
+        range, inserted while present or deleted while absent; else return
+        the maximum out-degree the batch leaves, found from its sources."""
         batch.validate_shape()
         checked = [batch]
         for arcs, present, verb, why in (
@@ -343,7 +342,23 @@ class Graph:
                 raise BatchPreconditionError(
                     f"cannot {verb} arc ({u}, {v}): {why}")
             checked.append(pos)
-        self._checked = tuple(checked)  # positions for _apply_validated
+        rows, row = np.unique(np.concatenate(
+            [batch.ins[:, 0], batch.dels[:, 0]]), return_inverse=True)
+        k, indptr = len(batch.ins), self._csr.indptr
+        change = np.bincount(row[:k], minlength=rows.size) - \
+            np.bincount(row[k:], minlength=rows.size)
+        before = indptr[1:][rows] - indptr[rows]
+        after, (top, ties) = before + change, self._top
+        new = int(after.max(initial=top))
+        ties = (new == top) * ties + np.count_nonzero(after == new) - \
+            np.count_nonzero(before == new)
+        if not ties:  # no row is left at the maximum: count them all
+            after = np.diff(indptr)
+            after[rows] += change
+            new = int(after.max(initial=0))
+            ties = np.count_nonzero(after == new)
+        self._checked = (*checked, rows, change, (new, ties))
+        return new
 
     # ---- internals ----
 
@@ -353,6 +368,9 @@ class Graph:
             keys, np.arange(self._n + 1, dtype=np.int64) << 31)
         keys &= MAX_NODE_ID
         self._install(keys.astype(np.int32), indptr)
+        degrees = np.diff(indptr)  # the maximum, 0 without rows, and its ties
+        top = int(degrees.max(initial=0))
+        self._top = top, np.count_nonzero(degrees == top)
 
     def _install(self, indices: np.ndarray, indptr: np.ndarray) -> None:
         """Make the CSR arrays the graph; one version bump."""
@@ -363,7 +381,6 @@ class Graph:
             self._ones = np.ones(indices.size)
         self._csr = sparse.csr_matrix(
             (self._ones[:indices.size], indices, indptr), shape=(n, n))
-        self._max_out = int(np.diff(indptr).max()) if n else 0
         self._in_csr = self._symmetric = self._checked = None
         self._version += 1
 
@@ -374,7 +391,7 @@ class Graph:
         indptr, indices = self._csr.indptr, self._csr.indices
         pos, end = indptr[u].astype(np.intp), indptr[u + 1].astype(np.intp)
         v = v.astype(indices.dtype)  # compared without conversion
-        for bit in reversed(range(self._max_out.bit_length())):
+        for bit in reversed(range(self._top[0].bit_length())):
             # Step 2^bit, or to the row's end, over targets below v (an
             # empty step, which reads a stray entry, leaves pos as it is).
             step = np.minimum(pos + (1 << bit), end)

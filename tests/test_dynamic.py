@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
                         EdgeBatch, Graph, NodeRangeError, ParameterError,
@@ -15,7 +16,7 @@ from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
                         iterate_once, load_batches, load_edge_list,
                         ranking_result, run, update_batch)
 
-from katzbounds import dynamic
+from katzbounds import KatzState, dynamic, tail_gamma
 from katzbounds.engine import default_iteration_cap
 
 import builders
@@ -312,7 +313,7 @@ def test_update_validates_each_batch_once(monkeypatch):
 
     def counting(self, batch):
         calls.append(batch)
-        validate(self, batch)
+        return validate(self, batch)
 
     monkeypatch.setattr(Graph, "validate_batch", counting)
     batch = EdgeBatch(insertions=[(0, 6), (6, 0)], deletions=[(0, 1), (1, 0)])
@@ -350,20 +351,117 @@ def test_update_searches_each_nonempty_side_once(monkeypatch):
 
 
 def test_update_counts_post_batch_degrees_once(monkeypatch):
+    """Validation derives the post-batch maximum out-degree from the
+    batch's source rows and returns it; the update asks for no per-node
+    degrees."""
     g = builders.cycle(12)
     st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
     run(st, g)
-    calls = []
-    degrees_after = Graph.out_degrees_after
+    maxima = []
+    validate = Graph.validate_batch
 
-    def counting(self, batch):
-        calls.append(batch)
-        return degrees_after(self, batch)
+    def recording(self, batch):
+        maxima.append(validate(self, batch))
+        return maxima[-1]
 
-    monkeypatch.setattr(Graph, "out_degrees_after", counting)
+    monkeypatch.setattr(Graph, "validate_batch", recording)
+    monkeypatch.setattr(Graph, "out_degrees", None)  # a call would fail
     batch = EdgeBatch(insertions=[(0, 6), (6, 0)], deletions=[(0, 1), (1, 0)])
-    update_batch(st, g, batch)
-    assert calls == [batch]
+    # node 6 alone has degree 3; taking its chord away leaves no row at
+    # the maximum, which validation then finds among all rows
+    back = EdgeBatch(insertions=[(0, 1), (1, 0)], deletions=[(0, 6), (6, 0)])
+    for step, top in ((batch, 3), (back, 2), (batch, 3)):
+        update_batch(st, g, step)
+        assert maxima[-1] == g.max_out_degree() == top
+        assert st.gamma == tail_gamma(0.2, top)
+    assert len(maxima) == 3
+    monkeypatch.undo()
+    assert_state_matches(st, fresh_to_depth(g, st))
+
+
+def test_undirected_update_keeps_the_symmetry_cache(monkeypatch):
+    """A symmetric batch leaves a symmetric graph known to be symmetric,
+    so the fresh run of `dynamic --verify` transposes nothing."""
+    g = builders.grid(8, 8)
+    st = init(g, Criterion.top_k(3, 1e-6), alpha=0.1, undirected=True)
+    run(st, g)
+    transposed = []
+    transpose = sparse.csr_matrix.transpose
+
+    def counting(self, *args, **kwargs):
+        transposed.append(self.shape)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_matrix, "transpose", counting)
+    update_batch(st, g, EdgeBatch(insertions=[(0, 9), (9, 0)],
+                                  deletions=[(0, 1), (1, 0)]))
+    assert g.is_symmetric()
+    assert_state_matches(st, fresh_to_depth(g, st))
+    assert transposed == []
+
+
+def refresh_calls(monkeypatch) -> list:
+    """Records the rows each refresh_bounds call is given, and checks that
+    bounds refreshed on rows equal a whole refresh bitwise."""
+    calls, refresh = [], KatzState.refresh_bounds
+
+    def checking(self, rows=None):
+        calls.append(rows)
+        refresh(self, rows)
+        lower, upper = self.lower.copy(), self.upper.copy()
+        refresh(self)
+        np.testing.assert_array_equal(lower, self.lower)
+        np.testing.assert_array_equal(upper, self.upper)
+
+    monkeypatch.setattr(KatzState, "refresh_bounds", checking)
+    return calls
+
+
+def test_ball_refresh_equals_whole_refresh(monkeypatch):
+    """After every batch of a 64x64 grid top-25 stream, whose levels all
+    stay local, bounds refreshed on the ball's rows equal a whole
+    refresh_bounds bitwise. A batch that raises the maximum degree, which
+    changes gamma (and q), and its undo refresh every row."""
+    g = builders.grid(64, 64)
+    st = init(g, Criterion.top_k(25, 1e-6), alpha=0.1, undirected=True)
+    run(st, g)
+    calls = refresh_calls(monkeypatch)
+    edges = [(u, v) for u, v in g.arcs() if u < v]
+    node = 20 * 64 + 20  # every arc of one degree-4 node
+    star = [(node, v) for v in (node - 64, node - 1, node + 1, node + 64)]
+    chord = [(40 * 64 + 40, 40 * 64 + 42)]  # lifts two rows to degree 5
+    stream = [side for e in random.Random(4).sample(edges, 4)
+              for side in (([], [e]), ([e], []))]
+    stream += [([], star), (chord, []), ([], chord), (star, [])]
+    for ins, dels in stream:
+        gamma = st.gamma
+        calls.clear()
+        update_batch(st, g, EdgeBatch(*([a for u, v in arcs
+                                         for a in ((u, v), (v, u))]
+                                        for arcs in (ins, dels))))
+        assert st.last_update_stats.aborted_level is None
+        assert (calls[0] is None) == (st.gamma != gamma) == (chord in (ins, dels))
+        assert_state_matches(st, fresh_to_depth(g, st))
+
+
+def test_refresh_takes_every_row_when_q_changes(monkeypatch):
+    """A local batch that changes q = max(levels[2]) but not gamma still
+    moves the two-step tail of every node, far outside the ball."""
+    # a 300-node path with a two-edge arm at node 100 and a leaf at node
+    # 200; the arm's far edge gives node 100 the most 2-walks, 6
+    edges = [(i, i + 1) for i in range(299)] + [(100, 300), (300, 301),
+                                                 (200, 302)]
+    g = Graph.from_edges(303, edges, undirected=True)
+    st = init(g, Criterion.top_k(3, 1e-6), alpha=0.1, undirected=True)
+    run(st, g)
+    q, gamma, upper = st.q, st.gamma, st.upper.copy()
+    calls = refresh_calls(monkeypatch)
+    update_batch(st, g, EdgeBatch(deletions=[(300, 301), (301, 300)]))
+    stats = st.last_update_stats
+    assert stats.aborted_level is None and stats.resumed_iterations == 0
+    assert stats.visited < 20 and calls[0].size < 20  # the ball's rows
+    assert st.gamma == gamma and st.q != q
+    assert st.upper[0] != upper[0]  # node 0 lies 100 steps away
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
