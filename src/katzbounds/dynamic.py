@@ -176,8 +176,8 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
 
     stats = UpdateStats()
     affected = np.zeros(state.n, dtype=bool)
-    sources = np.union1d(batch.ins[:, 0], batch.dels[:, 0])
-    g._apply_validated(batch)  # validated above, once
+    # validated above, once; an undirected batch was found symmetric there
+    sources = g._apply_validated(batch, symmetric_batch=state.undirected)
     state.graph_version = g.version
     ball = _recompute_levels(state, g, sources, affected, stats)
     affected[batch.ins] = affected[batch.dels] = True  # every endpoint

@@ -15,10 +15,11 @@ version once; the maximum out-degree follows from those rows.
 Memory is about 12 bytes per arc (index, value) plus 4-8 bytes per node,
 against roughly 140 bytes per arc for Python sets.
 
-Edge lists are tokenized with numpy, a block of whole lines at a time.
-Input the fast path cannot vouch for is re-read line by line, which
-reports the exact line of the first error; either way the graph is built
-by the same array code.
+Edge lists are tokenized with numpy in blocks of whole lines, parsed on
+one thread per CPU (numpy releases the interpreter lock) and kept in
+file order. Input the fast path cannot vouch for is re-read line by
+line, which reports the exact line of the first error; either way the
+graph is built by the same array code.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import io
 import itertools
 import logging
 import operator
+import os
 from array import array
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -224,7 +226,8 @@ class Graph:
         keys = _pair_keys(pairs)
         if undirected:
             keys = np.concatenate([keys, _pair_keys(pairs[:, ::-1])])
-        g._set_keys(_distinct(keys))
+        keys = _distinct(keys)  # frees the sorted keys before the build
+        g._set_keys(keys)
         g._symmetric = True if undirected else None  # None: not yet known
         return g
 
@@ -289,18 +292,20 @@ class Graph:
         self.validate_batch(batch)
         self._apply_validated(batch)
 
-    def _apply_validated(self, batch: EdgeBatch) -> None:
+    def _apply_validated(self, batch: EdgeBatch,
+                         symmetric_batch: bool = False) -> np.ndarray:
         """apply_batch for the batch validate_batch passed last: `indices`
         is spliced at the positions it found, the row pointer shifted (in
         its own dtype, which scipy keeps) by the sources' degree changes; a
-        symmetric batch keeps a known symmetry. A batch without arcs changes
-        nothing, caches included."""
+        symmetric batch keeps a known symmetry, asked of the batch unless
+        the caller has found it symmetric. A batch without arcs changes
+        nothing, caches included. Returns the batch's sorted sources."""
         kept, ins_pos, del_pos, rows, change, top = self._checked or [None] * 6
         if kept is not batch:
             raise StateError("batch not validated since the last change")
         if len(batch) == 0:
             self._checked = None
-            return
+            return rows
         indices = self._csr.indices
         gone = np.sort(del_pos)
         # Sorted arcs take sorted positions, equal ones in target order.
@@ -317,9 +322,11 @@ class Graph:
         indptr = self._csr.indptr
         shift = np.concatenate([[0], np.cumsum(change)]).astype(indptr.dtype)
         shift = np.repeat(shift, np.diff(rows, prepend=-1, append=self._n))
-        symmetric = batch.is_symmetric() if self._symmetric else None
+        symmetric = (symmetric_batch or batch.is_symmetric()) \
+            if self._symmetric else None
         self._install(indices, indptr + shift)
         self._top, self._symmetric = top, symmetric
+        return rows
 
     def validate_batch(self, batch: EdgeBatch) -> int:
         """Raise for the first arc, insertions first, that is out of
@@ -456,8 +463,10 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
 
 
 # The tokenizer works through the text in blocks of whole lines of about
-# this many bytes, which bounds its scratch memory.
-_BLOCK_BYTES = 1 << 20
+# this many bytes, one per worker thread at a time. The C allocator keeps
+# what a thread frees for that thread (glibc's per-thread arenas), so
+# small blocks bound what the workers hold; a few MB still spread evenly.
+_BLOCK_BYTES = 1 << 17
 
 
 def _tokenize(data: bytes):
@@ -469,6 +478,9 @@ def _tokenize(data: bytes):
     line without exactly two ids, an id of more than ten digits or above
     MAX_NODE_ID, or invalid UTF-8. _parse_lines then decides, and reports
     any error with its line.
+
+    The blocks are parsed on a pool of one thread per CPU, at most one
+    per block, whose threads are joined before this returns.
     """
     header, offset, start = None, 0, 0
     # up to the first non-comment line
@@ -487,19 +499,37 @@ def _tokenize(data: bytes):
                 return None
             header, start = (int(parts[1]), lineno), offset
         break
-    blocks = [np.empty(0, dtype=np.int32)]
+    spans = []
     while start < len(data):
         end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        blocks.append(_tokenize_block(data[start:end]))
-        if blocks[-1] is None:
-            return None
+        spans.append(slice(start, end))
         start = end
+    # Imported on first use: importing the package loads no thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+    blocks = [np.empty(0, dtype=np.int32)]
+    pool = ThreadPoolExecutor(min(len(spans), _cpu_count()) or 1)
+    try:  # each worker slices its own block: one copy in flight each
+        for block in pool.map(lambda span: _tokenize_block(data[span]),
+                              spans):
+            if block is None:
+                return None
+            # narrowed here, so the int32 ids live in this thread's arena
+            blocks.append(block.astype(np.int32))
+    finally:  # drops the blocks not yet started, joins the workers
+        pool.shutdown(cancel_futures=True)
     lines_read = data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
     return header, np.concatenate(blocks).reshape(-1, 2), lines_read
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tokenize_block(data: bytes):
-    """The ids on a block of whole arc and comment lines, as int32 in
+    """The ids on a block of whole arc and comment lines, as int64 in
     file order, or None."""
     b = np.frombuffer(data, dtype=np.uint8)
     space = (b == 32) | (b - np.uint8(9) <= 4)  # " \t\n\v\f\r"
@@ -531,7 +561,7 @@ def _tokenize_block(data: bytes):
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     if values.size != starts.size or values.max() > MAX_NODE_ID:
         return None
-    return values.astype(np.int32)
+    return values
 
 
 def _blank_comments(data: bytes, b: np.ndarray, event: np.ndarray,
@@ -548,11 +578,10 @@ def _blank_comments(data: bytes, b: np.ndarray, event: np.ndarray,
     begin = first[(b[first] == ord("#")) | (b[first] == ord("%"))]
     if not begin.size:
         return None
-    if (b >= 128).any():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
+    try:  # as fast as a test for bytes above 127 on ASCII text
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
     newlines = event[~tok]
     end = np.r_[newlines, b.size][np.searchsorted(newlines, begin)]
     out = bytearray(data)

@@ -159,7 +159,7 @@ def test_cg_convergence_error_carries_partial():
 def test_import_leaves_the_solver_module_unloaded(module):
     # cg_katz imports scipy's solvers itself; loaded at import, they cost
     # every program about 10 MB of resident memory. The engine runs on
-    # one thread, so no thread pool is loaded either.
+    # one thread; only the edge-list loader imports a thread pool.
     code = f"import sys, katzbounds; print({module!r} in sys.modules)"
     src = str(Path(katzbounds.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

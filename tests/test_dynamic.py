@@ -379,6 +379,38 @@ def test_update_counts_post_batch_degrees_once(monkeypatch):
     assert_state_matches(st, fresh_to_depth(g, st))
 
 
+def test_undirected_update_asks_the_batch_symmetry_once(monkeypatch):
+    """The mode check's answer also keeps the graph's known symmetry, and
+    the batch's sources come from validation."""
+    g = builders.cycle(12)
+    st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
+    run(st, g)
+    calls, sources = [], []
+    symmetric = EdgeBatch.is_symmetric
+    recompute = dynamic._recompute_levels
+
+    def counting(self):
+        calls.append(len(self))
+        return symmetric(self)
+
+    def recording(state, graph, rows, *args):
+        sources.append(rows.tolist())
+        return recompute(state, graph, rows, *args)
+
+    monkeypatch.setattr(EdgeBatch, "is_symmetric", counting)
+    monkeypatch.setattr(dynamic, "_recompute_levels", recording)
+    chord, side = [(0, 6), (6, 0)], [(0, 1), (1, 0)]
+    for batch, rows in ((EdgeBatch(insertions=chord), [0, 6]),
+                        (EdgeBatch(deletions=side), [0, 1]),
+                        (EdgeBatch(insertions=side, deletions=chord), [0, 1, 6]),
+                        (EdgeBatch(), [])):
+        calls.clear()
+        update_batch(st, g, batch)
+        assert calls == [len(batch)] and sources[-1] == rows
+        assert g.is_symmetric() and calls == [len(batch)]  # known, kept
+        assert_state_matches(st, fresh_to_depth(g, st))
+
+
 def test_undirected_update_keeps_the_symmetry_cache(monkeypatch):
     """A symmetric batch leaves a symmetric graph known to be symmetric,
     so the fresh run of `dynamic --verify` transposes nothing."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import random
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -662,21 +663,73 @@ def test_tokenizer_hands_odd_input_to_line_parser(text):
         assert list(g.arcs()) == sorted(map(tuple, expected[1].tolist()))
 
 
-def test_tokenizer_splits_large_input_into_blocks():
-    # ids up to 2^31 - 1: compared as arrays, no graph is built
-    lines = [f"{i} {i * 7919 % 2147483647}\n" for i in range(150_000)]
+def large_edge_list(count: int = 150_000) -> bytes:
+    """Arc lines with CRLF and tab lines and comment lines among them,
+    under a header; ids up to 2^31 - 1, so no graph is built from it."""
+    lines = [f"{i} {i * 7919 % 2147483647}\n" for i in range(count)]
     for i in range(0, len(lines), 997):
         lines[i] = lines[i].replace("\n", "\r\n").replace(" ", "\t")
     for i in range(500, len(lines), 1409):
         lines[i] = "# comment line\n"
     lines[-1] = "0000000000 2147483647\n"  # ten digits, the largest id
-    data = ("NODES 2147483647\n" + "".join(lines) + "2147483646 7").encode()
-    assert len(data) > 2 * graph._BLOCK_BYTES
+    return ("NODES 2147483647\n" + "".join(lines) + "2147483646 7").encode()
+
+
+def assert_tokenizer_matches_line_parser(data: bytes):
     fast = graph._tokenize(data)
     slow = graph._parse_lines(io.BytesIO(data))
     assert fast is not None
     assert fast[0] == slow[0] and fast[2] == slow[2]
     np.testing.assert_array_equal(fast[1], slow[1])
+    assert fast[1].dtype == np.int32 and fast[1].shape == slow[1].shape
+
+
+def test_tokenizer_splits_large_input_into_blocks():
+    data = large_edge_list()
+    assert len(data) > 2 * graph._BLOCK_BYTES
+    assert_tokenizer_matches_line_parser(data)
+
+
+@pytest.fixture(params=[(b, w) for b in (1, 40, 4096, None)
+                        for w in (1, 2, 4)],
+                ids=lambda p: f"{p[0] or 'default'}B-{p[1]}workers")
+def blocks_and_workers(request, monkeypatch):
+    """Blocks of one line, a few dozen bytes, a few KiB or the default
+    size, parsed by 1, 2 or 4 workers: the small blocks end inside CRLF
+    and blank-line runs, among comment lines and next to the header."""
+    block_bytes, workers = request.param
+    if block_bytes is not None:
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(graph, "_cpu_count", lambda: workers)
+    return graph._BLOCK_BYTES
+
+
+def test_block_size_and_workers_leave_the_parse_unchanged(blocks_and_workers):
+    for text in LOADER_CASES.values():
+        assert_tokenizer_matches_line_parser(text.encode("utf-8"))
+    # more than six blocks at every size
+    data = large_edge_list(max(2_000, blocks_and_workers // 2))
+    assert len(data) > 6 * blocks_and_workers
+    assert_tokenizer_matches_line_parser(data)
+
+
+def test_declined_last_block_gives_the_line_parsers_error(blocks_and_workers):
+    count = max(1_000, 2 * blocks_and_workers // 3)
+    data = b"".join(b"%d %d\n" % (i, i + 1) for i in range(count))
+    data += b"# a comment\n1 2 3\n"
+    assert len(data) > 6 * blocks_and_workers
+    assert graph._tokenize(data) is None
+    with pytest.raises(ParseError) as expected:
+        graph._parse_lines(io.BytesIO(data))
+    threads = threading.active_count()
+    with pytest.raises(ParseError) as got:
+        load_edge_list(io.BytesIO(data))
+    assert str(got.value) == str(expected.value)
+    assert got.value.line == count + 2
+    assert threading.active_count() == threads
+    g = load_edge_list(io.BytesIO(data[:data.index(b"# a")]))
+    assert g.arc_count == count
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("text, message", [
