@@ -36,7 +36,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        if out := args.func(args):  # (report, rows); gen returns None
+            _emit(args, *out)  # after the command freed its graph and state
+        return 0
     except KatzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -202,16 +204,14 @@ def _report(command: str, state: engine.KatzState,
 
 # ---- subcommands ----
 
-def cmd_static(args) -> int:
-    g, state, result, wall = _run(args)
+def cmd_static(args) -> tuple[RunReport, NodeTable]:
+    _, state, result, wall = _run(args)
     report = _report("static", state, result, wall,
                      nodes=_node_table(args, result))
-    del g, state, result  # freed before the write, the memory peak
-    _emit(args, report, report.nodes)
-    return 0
+    return report, report.nodes
 
 
-def cmd_dynamic(args) -> int:
+def cmd_dynamic(args) -> tuple[RunReport, NodeTable]:
     batches = dynamic.load_batches(args.batches)
     g, state, result, initial_wall = _run(args)
 
@@ -238,8 +238,7 @@ def cmd_dynamic(args) -> int:
         extra={"initial_iterations": result.iterations_used,
                "initial_wall_time_s": initial_wall,
                "batches": batch_reports})
-    _emit(args, report, report.nodes)
-    return 0
+    return report, report.nodes
 
 
 def _matches_fresh_static(state: engine.KatzState, g: Graph) -> bool:
@@ -255,7 +254,7 @@ def _matches_fresh_static(state: engine.KatzState, g: Graph) -> bool:
     return all(np.array_equal(mine, theirs) for mine, theirs in pairs)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[RunReport, NodeTable]:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = set(methods) - {"katz", "foster", "cg"}
     if unknown:
@@ -296,8 +295,7 @@ def cmd_compare(args) -> int:
         "compare", state, result,
         katz_wall + sum(e["wall_time_s"] for e in entries[1:]),
         extra={"methods": entries})
-    _emit(args, report, _node_table(args, result))
-    return 0
+    return report, _node_table(args, result)
 
 
 def concordant_fraction(order_a, order_b) -> float:
@@ -321,14 +319,13 @@ def concordant_fraction(order_a, order_b) -> float:
     return 1.0 - round((1.0 - tau) * total / 2) / total
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     edges = generate(args.model, args.nodes, seed=args.seed,
                               edge_factor=args.edge_factor)
     with open(args.out_path, "w") as fh:
         fh.write(dumps_edge_list(args.nodes, edges))
     log.info("wrote %d edges on %d nodes to %s",
              len(edges), args.nodes, args.out_path)
-    return 0
 
 
 if __name__ == "__main__":

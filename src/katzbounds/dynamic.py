@@ -139,20 +139,20 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
 def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     """Apply an arc batch to g and bring the state back to convergence.
 
-    Validates everything before touching graph or state: the batch's
-    preconditions, and alpha against the post-batch max out-degree, found
-    from the batch's sources, by init's own test. Then applies the batch
-    to g (one version bump), recomputes the levels that can have changed
-    with their partial sums, and refreshes the bounds, only the ball's if
-    every level was local and neither gamma nor q moved. An inactive node
-    comes back when upper - epsilon reaches the least active lower bound,
-    check_converged's survivor test; run's own loop then iterates until
-    the stopping rule holds. Levels, partial sums and bounds are bitwise
-    those of a fresh run to the same depth. Whole passes remain for the
-    splice, the row-pointer shift, q and that scan. A derived cap follows
-    the new max out-degree, a given one stays; stats land in
-    state.last_update_stats. A batch without arcs bumps no version and
-    recomputes no level.
+    Validates everything before touching graph or state: the batch, by
+    g.validate_batch, and alpha, by init's own test, against the post-batch
+    max out-degree that returns. Then g.apply_batch applies the batch with
+    that validation (one version bump); the levels that can have changed
+    are recomputed with their partial sums, and the bounds refreshed, only
+    the ball's if every level was local and neither gamma nor q moved. An
+    inactive node comes back when upper - epsilon reaches the least active
+    lower bound, check_converged's survivor test; run's own loop then
+    iterates until the stopping rule holds. Levels, partial sums and
+    bounds are bitwise those of a fresh run to the same depth. Whole passes
+    remain for the splice, the row-pointer shift, q and that scan. A
+    derived cap follows the new max out-degree, a given one stays; stats
+    land in state.last_update_stats. A batch without arcs bumps no version
+    and recomputes no level.
 
     If those iterations reach the cap, run's ConvergenceError is raised
     and nothing is rolled back: the batch stays applied (one version
@@ -176,8 +176,7 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
 
     stats = UpdateStats()
     affected = np.zeros(state.n, dtype=bool)
-    # validated above, once; an undirected batch was found symmetric there
-    sources = g._apply_validated(batch, symmetric_batch=state.undirected)
+    sources = g.apply_batch(batch)  # reuses the validation above
     state.graph_version = g.version
     ball = _recompute_levels(state, g, sources, affected, stats)
     affected[batch.ins] = affected[batch.dels] = True  # every endpoint

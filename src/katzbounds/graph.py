@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (BatchPreconditionError, NodeRangeError,
-                     ParameterError, ParseError, StateError)
+                     ParameterError, ParseError)
 
 log = logging.getLogger(__name__)
 
@@ -62,18 +62,20 @@ class EdgeBatch:
     two lists must not overlap or contain duplicates.
 
     The arcs are converted once, here, from (u, v) pairs or (k, 2)
-    arrays to the (k, 2) int64 arrays `ins` and `dels`, on which every
-    check runs; an id outside [0, MAX_NODE_ID], which no graph can hold,
-    is refused here. `insertions` and `deletions` give them back as
-    lists of int pairs.
+    arrays to the read-only (k, 2) int64 arrays `ins` and `dels`, on
+    which every check runs, so a check's answer holds for the batch; an
+    id outside [0, MAX_NODE_ID], which no graph can hold, is refused
+    here. `insertions` and `deletions` give them back as int pairs.
     """
 
-    __slots__ = ("ins", "dels")
+    __slots__ = ("ins", "dels", "_symmetric")
 
     def __init__(self, insertions: Iterable[Arc] = (),
                  deletions: Iterable[Arc] = ()):
         self.ins = arc_array(insertions).astype(np.int64)
         self.dels = arc_array(deletions).astype(np.int64)
+        self.ins.flags.writeable = self.dels.flags.writeable = False
+        self._symmetric = None  # not yet known
         ids = np.concatenate([self.ins, self.dels]).ravel()
         bad = (ids < 0) | (ids > MAX_NODE_ID)
         if bad.any():
@@ -107,9 +109,11 @@ class EdgeBatch:
             f"arc {arc} appears in both insertions and deletions")
 
     def is_symmetric(self) -> bool:
-        """True when both lists are closed under arc reversal."""
-        return _closed_under_reversal(self.ins) and \
-            _closed_under_reversal(self.dels)
+        """True when both lists are closed under arc reversal (cached)."""
+        if self._symmetric is None:
+            self._symmetric = _closed_under_reversal(self.ins) and \
+                _closed_under_reversal(self.dels)
+        return self._symmetric
 
     def __len__(self) -> int:
         return len(self.ins) + len(self.dels)
@@ -166,6 +170,9 @@ def arc_array(arcs: Iterable[Arc]) -> np.ndarray:
         ids = np.fromiter(ids, dtype=np.int64)
     except TypeError:  # an entry or an id of the wrong type
         ids = None
+    except OverflowError:  # an id past int64; named as EdgeBatch does
+        bad = next(i for i in itertools.chain(*arcs) if not 0 <= i <= MAX_NODE_ID)
+        raise NodeRangeError(f"node id {bad} outside [0, {MAX_NODE_ID}]") from None
     if ids is None or ids.size != 2 * len(arcs):
         raise ParameterError("arcs must be (u, v) pairs of integers")
     return ids.reshape(-1, 2)
@@ -287,24 +294,14 @@ class Graph:
 
     # ---- mutation ----
 
-    def apply_batch(self, batch: EdgeBatch) -> None:
-        """Atomically delete then insert; validates everything first."""
-        self.validate_batch(batch)
-        self._apply_validated(batch)
-
-    def _apply_validated(self, batch: EdgeBatch,
-                         symmetric_batch: bool = False) -> np.ndarray:
-        """apply_batch for the batch validate_batch passed last: `indices`
-        is spliced at the positions it found, the row pointer shifted (in
-        its own dtype, which scipy keeps) by the sources' degree changes; a
-        symmetric batch keeps a known symmetry, asked of the batch unless
-        the caller has found it symmetric. A batch without arcs changes
-        nothing, caches included. Returns the batch's sorted sources."""
-        kept, ins_pos, del_pos, rows, change, top = self._checked or [None] * 6
-        if kept is not batch:
-            raise StateError("batch not validated since the last change")
-        if len(batch) == 0:
-            self._checked = None
+    def apply_batch(self, batch: EdgeBatch) -> np.ndarray:
+        """Delete, then insert, as one change, once validate_batch passes
+        (at once for the batch it passed last): `indices` is spliced at the
+        positions found, the row pointer shifted (in its own dtype, which
+        scipy keeps) by the sources' degree changes; a symmetric batch
+        keeps a known symmetry. Returns the batch's sorted sources."""
+        _, ins_pos, del_pos, rows, change, top = self._validated(batch)
+        if len(batch) == 0:  # changes nothing, caches included
             return rows
         indices = self._csr.indices
         gone = np.sort(del_pos)
@@ -322,8 +319,7 @@ class Graph:
         indptr = self._csr.indptr
         shift = np.concatenate([[0], np.cumsum(change)]).astype(indptr.dtype)
         shift = np.repeat(shift, np.diff(rows, prepend=-1, append=self._n))
-        symmetric = (symmetric_batch or batch.is_symmetric()) \
-            if self._symmetric else None
+        symmetric = batch.is_symmetric() if self._symmetric else None
         self._install(indices, indptr + shift)
         self._top, self._symmetric = top, symmetric
         return rows
@@ -331,7 +327,16 @@ class Graph:
     def validate_batch(self, batch: EdgeBatch) -> int:
         """Raise for the first arc, insertions first, that is out of
         range, inserted while present or deleted while absent; else return
-        the maximum out-degree the batch leaves, found from its sources."""
+        the maximum out-degree the batch leaves, found from its sources;
+        at once for the batch it passed last, if the arcs are unchanged."""
+        return self._validated(batch)[-1][0]
+
+    # ---- internals ----
+
+    def _validated(self, batch: EdgeBatch) -> tuple:
+        """validate_batch's findings, kept for the batch until arcs change."""
+        if self._checked and self._checked[0] is batch:
+            return self._checked
         batch.validate_shape()
         checked = [batch]
         for arcs, present, verb, why in (
@@ -365,9 +370,7 @@ class Graph:
             new = int(after.max(initial=0))
             ties = np.count_nonzero(after == new)
         self._checked = (*checked, rows, change, (new, ties))
-        return new
-
-    # ---- internals ----
+        return self._checked
 
     def _set_keys(self, keys: np.ndarray) -> None:
         """Build from sorted, duplicate-free _pair_keys (overwritten)."""

@@ -16,7 +16,7 @@ from katzbounds import (BatchPreconditionError, ConvergenceError, Criterion,
                         iterate_once, load_batches, load_edge_list,
                         ranking_result, run, update_batch)
 
-from katzbounds import KatzState, dynamic, tail_gamma
+from katzbounds import KatzState, dynamic, graph, tail_gamma
 from katzbounds.engine import default_iteration_cap
 
 import builders
@@ -380,24 +380,25 @@ def test_update_counts_post_batch_degrees_once(monkeypatch):
 
 
 def test_undirected_update_asks_the_batch_symmetry_once(monkeypatch):
-    """The mode check's answer also keeps the graph's known symmetry, and
-    the batch's sources come from validation."""
+    """The batch keeps its symmetry, so the mode check's answer also keeps
+    the graph's known symmetry, and the batch's sources come from
+    validation."""
     g = builders.cycle(12)
     st = init(g, Criterion.ranking(1e-6), alpha=0.2, undirected=True)
     run(st, g)
     calls, sources = [], []
-    symmetric = EdgeBatch.is_symmetric
+    closed = graph._closed_under_reversal
     recompute = dynamic._recompute_levels
 
-    def counting(self):
-        calls.append(len(self))
-        return symmetric(self)
+    def counting(arcs):
+        calls.append(len(arcs))
+        return closed(arcs)
 
-    def recording(state, graph, rows, *args):
+    def recording(state, g, rows, *args):
         sources.append(rows.tolist())
-        return recompute(state, graph, rows, *args)
+        return recompute(state, g, rows, *args)
 
-    monkeypatch.setattr(EdgeBatch, "is_symmetric", counting)
+    monkeypatch.setattr(graph, "_closed_under_reversal", counting)
     monkeypatch.setattr(dynamic, "_recompute_levels", recording)
     chord, side = [(0, 6), (6, 0)], [(0, 1), (1, 0)]
     for batch, rows in ((EdgeBatch(insertions=chord), [0, 6]),
@@ -406,8 +407,10 @@ def test_undirected_update_asks_the_batch_symmetry_once(monkeypatch):
                         (EdgeBatch(), [])):
         calls.clear()
         update_batch(st, g, batch)
-        assert calls == [len(batch)] and sources[-1] == rows
-        assert g.is_symmetric() and calls == [len(batch)]  # known, kept
+        # one computation: insertions, then deletions
+        want = [len(batch.ins), len(batch.dels)]
+        assert calls == want and sources[-1] == rows
+        assert g.is_symmetric() and calls == want  # known, kept
         assert_state_matches(st, fresh_to_depth(g, st))
 
 

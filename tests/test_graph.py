@@ -13,7 +13,7 @@ from scipy import sparse
 
 from katzbounds import (BatchPreconditionError, EdgeBatch, Graph,
                         NodeRangeError, ParameterError, ParseError,
-                        StateError, dumps_edge_list, load_edge_list)
+                        dumps_edge_list, load_edge_list)
 from katzbounds import graph
 
 import builders
@@ -145,18 +145,54 @@ def test_validate_batch_against_graph():
 
 
 def test_splice_takes_only_the_batch_validated_last():
-    """The splice uses the positions validation found, so it refuses a
-    batch other than the one validated last, or one already applied."""
+    """The splice uses the positions validation found, so a batch other
+    than the one validated last is validated first, and one already
+    applied is refused."""
     g = builders.cycle(6)
     first, second = EdgeBatch(insertions=[(0, 3)]), EdgeBatch(insertions=[(1, 4)])
     g.validate_batch(first)
     g.validate_batch(second)
-    with pytest.raises(StateError):
-        g._apply_validated(first)
-    g._apply_validated(second)
-    with pytest.raises(StateError):
-        g._apply_validated(second)
-    assert g.has_arc(1, 4) and not g.has_arc(0, 3)
+    with pytest.raises(ValueError):  # read-only: validations stay true
+        second.ins[0, 1] = 2
+    assert g.apply_batch(first).tolist() == [0]
+    assert g.has_arc(0, 3) and not g.has_arc(1, 4)
+    arcs, version = list(g.arcs()), g.version
+    with pytest.raises(BatchPreconditionError):
+        g.apply_batch(first)
+    assert list(g.arcs()) == arcs and g.version == version
+    g.apply_batch(second)
+    assert g.has_arc(1, 4) and g.version == version + 1
+
+
+def test_validation_is_reused_for_the_batch_validated_last(monkeypatch):
+    """apply_batch and a second validate_batch of the batch validated last
+    search no arcs; validating another batch, or a change, forgets it."""
+    calls = []
+    find = Graph._find
+
+    def counting(self, u, v):
+        calls.append(len(u))
+        return find(self, u, v)
+
+    monkeypatch.setattr(Graph, "_find", counting)
+    g = builders.cycle(6)
+    batch = EdgeBatch(insertions=[(0, 3)], deletions=[(0, 1)])
+    other = EdgeBatch(insertions=[(1, 4)])
+    assert g.validate_batch(batch) == 2 and calls == [1, 1]
+    assert g.validate_batch(batch) == 2 and calls == [1, 1]
+    g.validate_batch(other)
+    assert calls == [1, 1, 1]
+    g.validate_batch(batch)
+    assert calls == [1, 1, 1, 1, 1]
+    calls.clear()
+    g.apply_batch(batch)
+    assert calls == []
+    g.validate_batch(other)  # the change forgot its earlier validation
+    g.apply_batch(other)
+    assert calls == [1]
+    assert sorted(g.arcs()) == sorted(
+        {(0, 3), (1, 4), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4),
+         (4, 3), (4, 5), (5, 4), (5, 0), (0, 5)})
 
 
 def test_apply_batch_and_revert():
@@ -443,6 +479,9 @@ def test_first_repeat_in_list_order_is_named(arcs, ids):
     ([(-1, 4), (9, 9), (-1, 4)], -1),
     ([(0, 1), (3, 2**31)], 2**31),
     ([(5, 5), (-2**40, 2**31)], -2**40),
+    ([(2**63, 1)], 2**63),
+    ([(0, 1), (3, 2**70)], 2**70),
+    ([(5, 5), (-2**40, 2**63)], -2**40),
 ])
 def test_batch_refuses_ids_no_graph_can_hold(arcs, bad):
     for kwargs in ({"insertions": arcs}, {"deletions": arcs},
@@ -450,6 +489,8 @@ def test_batch_refuses_ids_no_graph_can_hold(arcs, bad):
         with pytest.raises(NodeRangeError) as exc:
             EdgeBatch(**kwargs)
         assert str(exc.value) == f"node id {bad} outside [0, 2147483647]"
+    with pytest.raises(NodeRangeError):  # not an OverflowError past int64
+        Graph.from_edges(5, arcs)
 
 
 def test_batch_overlap_names_least_arc():
