@@ -8,9 +8,8 @@ the existing state instead of starting over.
 from .baselines import ScoreVector, cg_katz, dense_oracle, foster
 from .dynamic import UpdateStats, load_batches, update_batch
 from .engine import (Criterion, KatzState, RankingResult, check_converged,
-                     default_alpha, epsilon_separated, init, iterate_once,
-                     ranking_result, run, separated_fraction, tail_gamma,
-                     validate_alpha)
+                     default_alpha, init, iterate_once, ranking_result, run,
+                     tail_gamma, validate_alpha)
 from .errors import (BatchPreconditionError, ConvergenceError, KatzError,
                      MethodNotApplicableError, NodeRangeError, NumericError,
                      ParameterError, ParseError, StateError)
@@ -41,7 +40,6 @@ __all__ = [
     "default_alpha",
     "dense_oracle",
     "dumps_edge_list",
-    "epsilon_separated",
     "foster",
     "generate",
     "init",
@@ -50,7 +48,6 @@ __all__ = [
     "load_edge_list",
     "ranking_result",
     "run",
-    "separated_fraction",
     "tail_gamma",
     "update_batch",
     "validate_alpha",

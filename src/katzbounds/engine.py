@@ -217,7 +217,9 @@ class RankingResult:
     """Immutable outcome of a converged run.
 
     `order` lists all node ids by descending lower bound (ties by
-    ascending id); `lower`/`upper` are indexed by node id.
+    ascending id); `lower`/`upper` are indexed by node id. Of the node
+    pairs, `separated_fraction` is the share where one lower bound
+    strictly exceeds the other's upper (no eps; 1.0 below two nodes).
     """
 
     order: np.ndarray
@@ -296,17 +298,6 @@ def iterate_once(state: KatzState, g: Graph) -> None:
     state.refresh_bounds()
 
 
-def epsilon_separated(state: KatzState, w: int, v: int) -> bool:
-    """True when w's lower bound strictly clears v's upper bound minus eps.
-
-    Callers normally pass (w, v) with lower(w) >= lower(v).
-    """
-    for x in (w, v):
-        if not 0 <= x < state.n:
-            raise ParameterError(f"node id {x} outside graph")
-    return bool(state.lower[w] > state.upper[v] - state.epsilon)
-
-
 def check_converged(state: KatzState) -> bool:
     """Evaluate the stopping rule; may permanently deactivate nodes.
 
@@ -336,13 +327,9 @@ def check_converged(state: KatzState) -> bool:
     if kind == SCORE:
         return bool(np.max(state.upper - state.lower) < eps)
     if kind == PAIR:
-        u, v = state.criterion.u, state.criterion.v
-        lu, lv = state.lower[u], state.lower[v]
-        if (lu, -u) >= (lv, -v):
-            w, x = u, v
-        else:
-            w, x = v, u
-        return epsilon_separated(state, w, x)
+        u, v, lower = state.criterion.u, state.criterion.v, state.lower
+        w, x = (u, v) if (lower[u], -u) >= (lower[v], -v) else (v, u)
+        return bool(lower[w] > state.upper[x] - eps)
 
     m = state.active
     lowers = state.lower[m]
@@ -413,20 +400,10 @@ def ranking_result(state: KatzState) -> RankingResult:
                          separated_fraction=separated)
 
 
-def separated_fraction(state: KatzState) -> float:
-    """Fraction of unordered node pairs already strictly separated.
-
-    A pair counts once its lower bound on one side strictly exceeds the
-    other side's upper bound (no epsilon relaxation). Sorting makes this
-    O(n log n). Returns 1.0 for graphs with fewer than two nodes.
-    """
-    return _separated_fraction(state, np.sort(state.lower))
-
-
 def _separated_fraction(state: KatzState, ascending_lower: np.ndarray) -> float:
-    """separated_fraction, given state.lower sorted in ascending order."""
+    """RankingResult.separated_fraction from state.lower sorted ascending."""
     if state.r < 1:
-        raise StateError("separated_fraction needs at least one iteration")
+        raise StateError("ranking_result needs at least one iteration")
     n = state.n
     if n < 2:
         return 1.0

@@ -5,8 +5,8 @@ arcs, self-loops permitted), stored once as the compressed-row 0/1
 matrix (CSR: `indptr`, int32 `indices` with each row sorted, float64
 ones) that the numeric kernels multiply with. Membership and the
 position an arc takes in `indices` come from a binary search inside
-each row, vectorised over all arcs asked about. Degrees, `arcs()` and
-the symmetry test are derived from the same arrays; the transposed
+each row, vectorised over all arcs asked about. Degrees and the
+symmetry test are derived from the same arrays; the transposed
 matrix is built only when `in_csr()` is asked for. A mutation validates
 its whole batch, then splices `indices` once at the positions found,
 shifts the row pointers by the sources' degree changes and bumps the
@@ -30,7 +30,7 @@ import operator
 import os
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -62,21 +62,23 @@ class EdgeBatch:
     two lists must not overlap or contain duplicates.
 
     The arcs are converted once, here, from (u, v) pairs or (k, 2)
-    arrays to the read-only (k, 2) int64 arrays `ins` and `dels`, on
-    which every check runs, so a check's answer holds for the batch; an
-    id outside [0, MAX_NODE_ID], which no graph can hold, is refused
-    here. `insertions` and `deletions` give them back as int pairs.
+    arrays to the (k, 2) int64 arrays `ins` and `dels`, neither writable
+    nor rebindable, on which every check runs, so a check's answer holds
+    for the batch; ids outside [0, MAX_NODE_ID], which no graph can hold,
+    are refused here. `insertions` and `deletions` give int pairs back.
     """
 
-    __slots__ = ("ins", "dels", "_symmetric")
+    __slots__ = ("_ins", "_dels", "_symmetric")
+    ins = property(operator.attrgetter("_ins"))
+    dels = property(operator.attrgetter("_dels"))
 
     def __init__(self, insertions: Iterable[Arc] = (),
                  deletions: Iterable[Arc] = ()):
-        self.ins = arc_array(insertions).astype(np.int64)
-        self.dels = arc_array(deletions).astype(np.int64)
-        self.ins.flags.writeable = self.dels.flags.writeable = False
+        self._ins = arc_array(insertions).astype(np.int64)
+        self._dels = arc_array(deletions).astype(np.int64)
+        self._ins.flags.writeable = self._dels.flags.writeable = False
         self._symmetric = None  # not yet known
-        ids = np.concatenate([self.ins, self.dels]).ravel()
+        ids = np.concatenate([self._ins, self._dels]).ravel()
         bad = (ids < 0) | (ids > MAX_NODE_ID)
         if bad.any():
             raise NodeRangeError(f"node id {ids[np.argmax(bad)]} outside "
@@ -263,11 +265,6 @@ class Graph:
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._csr.indptr).astype(np.int64)
-
-    def arcs(self) -> Iterator[Arc]:
-        """All arcs, ordered by source, then target."""
-        src = np.repeat(np.arange(self._n), self.out_degrees())
-        return zip(src.tolist(), self._csr.indices.tolist())
 
     def is_symmetric(self) -> bool:
         """True when the arc set is closed under reversal (cached)."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from scipy import sparse
 
 from katzbounds import EdgeBatch, Graph
@@ -11,6 +12,13 @@ from katzbounds import EdgeBatch, Graph
 def row(A: sparse.csr_matrix, v: int) -> list[int]:
     """Column ids of row v of a CSR matrix, e.g. out_csr() or in_csr()."""
     return A.indices[A.indptr[v]:A.indptr[v + 1]].tolist()
+
+
+def arcs(g: Graph) -> list[tuple[int, int]]:
+    """All arcs of g, read from out_csr(), ordered by source, then target."""
+    A = g.out_csr()
+    src = np.repeat(np.arange(g.node_count), np.diff(A.indptr))
+    return list(zip(src.tolist(), A.indices.tolist()))
 
 
 def complete(n: int) -> Graph:
@@ -66,7 +74,7 @@ def random_batch(g: Graph, rng: random.Random, max_ops: int = 5,
     """Valid batch against g: deletions sampled from present arcs,
     insertions from absent ones. Undirected batches mirror every arc."""
     n = g.node_count
-    present = list(g.arcs())
+    present = arcs(g)
     if undirected:
         present = [(u, v) for u, v in present if u < v]
     rng.shuffle(present)

@@ -72,12 +72,13 @@ def test_update_rounds_bitwise_equal_fresh(kind, share, monkeypatch):
     run(st, g)
     rng = random.Random(11)
     for size in (1, 10, 100, 1, 10, 100):
-        arcs = [(u, v) for u, v in g.arcs() if u < v or not undirected]
+        arcs = [(u, v) for u, v in builders.arcs(g) if u < v or not undirected]
         edit = rng.sample(arcs, size)
         if undirected:
             edit += [(v, u) for u, v in edit]
         for batch in (EdgeBatch(deletions=edit), EdgeBatch(insertions=edit)):
-            before, depth = Graph.from_edges(g.node_count, list(g.arcs())), st.r
+            before = Graph.from_edges(g.node_count, builders.arcs(g))
+            depth = st.r
             update_batch(st, g, batch)
             stats = st.last_update_stats
             if share in (0.0, 1.0):  # all whole, or all local
@@ -184,7 +185,7 @@ def test_update_bumps_graph_version_once(share, monkeypatch):
     g = builders.er_graph(30, 0.1, seed=4, undirected=False)
     st = init(g, Criterion.score(1e-9), alpha=0.05)
     run(st, g)
-    present = sorted(g.arcs())[:2]
+    present = sorted(builders.arcs(g))[:2]
     absent = [(u, v) for u in range(30) for v in range(30)
               if u != v and not g.has_arc(u, v)][:3]
     batch = EdgeBatch(insertions=absent, deletions=present)
@@ -218,7 +219,7 @@ def test_abort_and_local_routes_agree(monkeypatch):
                    if not g1.has_arc(u, v))
     else:
         ins = [(0, 17), (17, 0)]
-    dele = next([(u, v), (v, u)] for u, v in sorted(g1.arcs())
+    dele = next([(u, v), (v, u)] for u, v in sorted(builders.arcs(g1))
                 if u < v and (u, v) != tuple(ins[0]))
     batch = EdgeBatch(insertions=ins, deletions=dele)
     st1 = init(g1, Criterion.score(1e-9), alpha=0.05, undirected=True)
@@ -270,11 +271,11 @@ def test_alpha_admission_checked_before_mutation():
     g = builders.path(4)  # max degree 2, default alpha = 1/3
     st = init(g, Criterion.ranking(1e-6), undirected=True)
     run(st, g)
-    arcs_before = set(g.arcs())
+    arcs_before = set(builders.arcs(g))
     batch = EdgeBatch(insertions=[(1, 3), (3, 1)], deletions=[])
     with pytest.raises(ParameterError):
         update_batch(st, g, batch)
-    assert set(g.arcs()) == arcs_before
+    assert set(builders.arcs(g)) == arcs_before
     assert check_converged(st)
 
 
@@ -461,7 +462,7 @@ def test_ball_refresh_equals_whole_refresh(monkeypatch):
     st = init(g, Criterion.top_k(25, 1e-6), alpha=0.1, undirected=True)
     run(st, g)
     calls = refresh_calls(monkeypatch)
-    edges = [(u, v) for u, v in g.arcs() if u < v]
+    edges = [(u, v) for u, v in builders.arcs(g) if u < v]
     node = 20 * 64 + 20  # every arc of one degree-4 node
     star = [(node, v) for v in (node - 64, node - 1, node + 1, node + 64)]
     chord = [(40 * 64 + 40, 40 * 64 + 42)]  # lifts two rows to degree 5
@@ -512,7 +513,7 @@ def test_rejected_batch_leaves_graph_and_state_untouched(batch, error):
     g = builders.cycle(12)
     st = init(g, Criterion.top_k(3, 1e-6), alpha=0.2, undirected=True)
     run(st, g)
-    version, arcs = g.version, list(g.arcs())
+    version, arcs = g.version, builders.arcs(g)
     A = g.out_csr()
     saved = {name: np.copy(getattr(st, name))
              for name in ("katz", "lower", "upper", "active")}
@@ -521,7 +522,7 @@ def test_rejected_batch_leaves_graph_and_state_untouched(batch, error):
     with pytest.raises(error):
         update_batch(st, g, batch)
     assert g.version == st.graph_version == version
-    assert list(g.arcs()) == arcs and g.out_csr() is A
+    assert builders.arcs(g) == arcs and g.out_csr() is A
     for name, value in saved.items():
         np.testing.assert_array_equal(getattr(st, name), value)
     assert len(st.levels) == len(levels)
@@ -716,7 +717,7 @@ def level_cases(directed: bool):
     yield partial(hub_graph, directed), EdgeBatch(insertions=arcs), 0.02
     if directed:
         make = partial(bitwise_graph, "rmat-directed", 2**10)
-        yield make, EdgeBatch(deletions=[next(iter(make().arcs()))]), None
+        yield make, EdgeBatch(deletions=builders.arcs(make())[:1]), None
     else:
         batch = EdgeBatch(insertions=[(0, 2), (2, 0)])
         yield partial(builders.grid, 8, 8), batch, None

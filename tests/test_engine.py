@@ -9,9 +9,8 @@ import pytest
 from katzbounds import (ConvergenceError, Criterion, EdgeBatch, Graph,
                         KatzState, ParameterError, StateError,
                         check_converged, default_alpha, dense_oracle,
-                        epsilon_separated, generate, init, iterate_once,
-                        ranking_result, run, separated_fraction, tail_gamma,
-                        update_batch, validate_alpha)
+                        generate, init, iterate_once, ranking_result, run,
+                        tail_gamma, update_batch, validate_alpha)
 from katzbounds import engine
 from katzbounds.engine import descending_order
 
@@ -251,7 +250,7 @@ def test_pair_criterion_stops_early():
     st_full = init(g, Criterion.ranking(1e-6), undirected=True)
     run(st_full, g)
     assert st_pair.r <= st_full.r
-    assert epsilon_separated(st_pair, 0, 7)
+    assert check_converged(st_pair)
 
 
 def test_pair_direction_picks_larger_lower():
@@ -343,29 +342,41 @@ def test_default_iteration_cap_scales_with_epsilon():
     assert st_loose.max_iterations == max(1, expected)
 
 
-def test_epsilon_separated_ties_pass_once_tight():
-    # separation asks lower(w) > upper(v) - eps, so equal-value nodes
-    # separate in both directions once the bounds are within eps
+def test_pair_check_passes_ties_once_tight():
+    # the pair test asks lower(w) > upper(x) - eps, so two leaves of equal
+    # value converge, named in either order, once their bounds are tight
     g = builders.star(4)
-    st = init(g, Criterion.ranking(1e-6), undirected=True)
-    run(st, g)
-    assert epsilon_separated(st, 0, 1)
-    assert epsilon_separated(st, 1, 2)
-    assert epsilon_separated(st, 2, 1)
-    assert not epsilon_separated(st, 1, 0)  # leaf never beats the hub
+    for u, v in ((1, 2), (2, 1)):
+        st = init(g, Criterion.pair(u, v, 1e-6), undirected=True)
+        run(st, g)
+        assert check_converged(st)
+        assert st.lower[1] == st.lower[2] and st.upper[1] == st.upper[2]
+        assert st.lower[1] > st.upper[2] - 1e-6
+    # w is the hub either way: a leaf never clears the hub
+    for u, v in ((0, 1), (1, 0)):
+        st = init(g, Criterion.pair(u, v, 1e-6), undirected=True)
+        run(st, g)
+        assert check_converged(st)
+        assert not st.lower[1] > st.upper[0] - 1e-6
 
 
-def test_epsilon_separated_is_strict_at_the_boundary():
-    # directed two-arc path at alpha = 1/2 terminates, so every bound is
-    # an exact binary fraction: katz = (3/4, 1/2, 0) with lower = upper.
-    # At eps = 1/4 the comparison 1/2 > 3/4 - 1/4 must fail: strictly.
+def test_pair_check_is_strict_at_the_boundary():
+    # directed two-arc path at alpha = 1/2 terminates, so after three
+    # levels every bound is an exact binary fraction: katz = (3/4, 1/2, 0)
+    # with lower = upper, and lower[0] clears upper[1] - 1/4 = 1/4.
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    st = init(g, Criterion.score(0.25), alpha=0.5)
-    run(st, g)
-    np.testing.assert_array_equal(st.lower, [0.75, 0.5, 0.0])
-    np.testing.assert_array_equal(st.upper, [0.75, 0.5, 0.0])
-    assert not epsilon_separated(st, 1, 0)
-    assert epsilon_separated(st, 1, 2)
+    for u, v in ((0, 1), (1, 0)):
+        st = init(g, Criterion.pair(u, v, 0.25), alpha=0.5)
+        for _ in range(3):
+            iterate_once(st, g)
+        np.testing.assert_array_equal(st.lower, [0.75, 0.5, 0.0])
+        np.testing.assert_array_equal(st.upper, [0.75, 0.5, 0.0])
+        assert check_converged(st)
+        # at upper[1] = 1, 3/4 > 1 - 1/4 must fail: strictly
+        st.upper[1] = 1.0
+        assert not check_converged(st)
+        st.upper[1] = np.nextafter(1.0, 0.0)  # 1 - 2^-53, exact minus 1/4
+        assert check_converged(st)
 
 
 @pytest.mark.parametrize("undirected", [True, False])
@@ -431,7 +442,7 @@ def test_separated_fraction_star():
     g = builders.star(4)
     st = init(g, Criterion.ranking(1e-4), undirected=True)
     run(st, g)
-    assert separated_fraction(st) == 0.5
+    assert ranking_result(st).separated_fraction == 0.5
 
 
 def test_separated_fraction_matches_quadratic_count():
@@ -445,23 +456,23 @@ def test_separated_fraction_matches_quadratic_count():
     for g, undirected in graphs:
         st = init(g, Criterion.score(1e-5), undirected=undirected)
         run(st, g)
-        assert separated_fraction(st) == quadratic_separated_fraction(st)
-        assert ranking_result(st).separated_fraction == separated_fraction(st)
+        assert ranking_result(st).separated_fraction == \
+            quadratic_separated_fraction(st)
     # Walks end, so the bounds meet: lower = upper for every node, and
     # nodes with equal scores give lower(w) == upper(v) for w != v. The
     # grid's arcs point right and down, and mirrored cells tie exactly;
     # the star's hub points at its leaves, which all score 0.
-    grid = Graph.from_edges(64, [(u, v) for u, v in builders.grid(8, 8).arcs()
-                                 if u < v])
+    grid = Graph.from_edges(64, [(u, v) for u, v in
+                                 builders.arcs(builders.grid(8, 8)) if u < v])
     star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
     for g in (grid, star, Graph.from_edges(5, [])):
         st = init(g, Criterion.score(1e-300))
         run(st, g)
         np.testing.assert_array_equal(st.lower, st.upper)
         assert np.unique(st.lower).size < g.node_count
-        assert separated_fraction(st) == quadratic_separated_fraction(st)
-        assert ranking_result(st).separated_fraction == separated_fraction(st)
-    assert separated_fraction(st) == 0.0
+        assert ranking_result(st).separated_fraction == \
+            quadratic_separated_fraction(st)
+    assert ranking_result(st).separated_fraction == 0.0
 
 
 def quadratic_separated_fraction(st):
@@ -478,7 +489,16 @@ def test_separated_fraction_tiny_graphs():
     g = Graph.from_edges(1, [])
     st = init(g, Criterion.ranking(1e-6))
     run(st, g)
-    assert separated_fraction(st) == 1.0
+    assert ranking_result(st).separated_fraction == 1.0
+
+
+def test_ranking_result_needs_an_iteration():
+    g = builders.star(4)
+    st = init(g, Criterion.ranking(), undirected=True)
+    with pytest.raises(StateError, match="at least one iteration"):
+        ranking_result(st)
+    iterate_once(st, g)
+    assert ranking_result(st).iterations_used == 1
 
 
 # ---- node order ----

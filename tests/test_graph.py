@@ -94,7 +94,7 @@ def test_csr_row_order_is_sorted():
 def test_lookups_on_a_graph_without_arcs():
     for g in (Graph(3), Graph.from_edges(3, [])):
         assert not g.has_arc(0, 2) and not g.has_arc(1, 1)
-        assert g.arc_count == 0 and list(g.arcs()) == []
+        assert g.arc_count == 0 and builders.arcs(g) == []
         g.validate_batch(EdgeBatch(insertions=[(0, 2), (2, 2)]))
         with pytest.raises(BatchPreconditionError) as exc:
             g.validate_batch(EdgeBatch(insertions=[(0, 1)],
@@ -140,7 +140,7 @@ def test_validate_batch_against_graph():
             check(EdgeBatch(insertions=[(0, 1)], deletions=[]))
         with pytest.raises(BatchPreconditionError):
             check(EdgeBatch(insertions=[], deletions=[(1, 2)]))
-    assert g.version == version and list(g.arcs()) == [(0, 1)]
+    assert g.version == version and builders.arcs(g) == [(0, 1)]
     g.validate_batch(EdgeBatch(insertions=[(1, 2)], deletions=[(0, 1)]))
 
 
@@ -156,12 +156,28 @@ def test_splice_takes_only_the_batch_validated_last():
         second.ins[0, 1] = 2
     assert g.apply_batch(first).tolist() == [0]
     assert g.has_arc(0, 3) and not g.has_arc(1, 4)
-    arcs, version = list(g.arcs()), g.version
+    arcs, version = builders.arcs(g), g.version
     with pytest.raises(BatchPreconditionError):
         g.apply_batch(first)
-    assert list(g.arcs()) == arcs and g.version == version
+    assert builders.arcs(g) == arcs and g.version == version
     g.apply_batch(second)
     assert g.has_arc(1, 4) and g.version == version + 1
+
+
+def test_batch_arcs_cannot_be_rebound_after_validation():
+    """Rebinding `ins` between validate_batch and apply_batch would splice
+    the validated positions with other arcs and leave the batch's cached
+    symmetry answer stale; neither array can be rebound."""
+    g = builders.cycle(6)
+    b = EdgeBatch(insertions=[(0, 3)])
+    g.validate_batch(b)
+    assert not b.is_symmetric()
+    for name in ("ins", "dels"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, np.array([[0, 0]]))
+    g.apply_batch(b)
+    assert builders.row(g.out_csr(), 0) == [1, 3, 5]
+    assert g.has_arc(0, 3) and not g.has_arc(0, 0)
 
 
 def test_validation_is_reused_for_the_batch_validated_last(monkeypatch):
@@ -190,7 +206,7 @@ def test_validation_is_reused_for_the_batch_validated_last(monkeypatch):
     g.validate_batch(other)  # the change forgot its earlier validation
     g.apply_batch(other)
     assert calls == [1]
-    assert sorted(g.arcs()) == sorted(
+    assert sorted(builders.arcs(g)) == sorted(
         {(0, 3), (1, 4), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4),
          (4, 3), (4, 5), (5, 4), (5, 0), (0, 5)})
 
@@ -198,15 +214,15 @@ def test_validation_is_reused_for_the_batch_validated_last(monkeypatch):
 def test_apply_batch_and_revert():
     rng = random.Random(5)
     g = builders.er_graph(25, 0.2, seed=1, undirected=False)
-    before = set(g.arcs())
+    before = set(builders.arcs(g))
     batch = builders.random_batch(g, rng, max_ops=6)
     g.apply_batch(batch)
-    after = set(g.arcs())
+    after = set(builders.arcs(g))
     assert after == (before - set(batch.deletions)) | set(batch.insertions)
     # applying the inverse restores the original arc set
     g.apply_batch(EdgeBatch(insertions=batch.deletions,
                             deletions=batch.insertions))
-    assert set(g.arcs()) == before
+    assert set(builders.arcs(g)) == before
 
 
 def assert_same_matrix(g: Graph, h: Graph) -> None:
@@ -254,7 +270,7 @@ def bookkeeping_batch(g: Graph, rng: random.Random, kind: int,
     the lowest row one above the maximum, 4 random with one side empty
     (both for the empty batch)."""
     n, deg = g.node_count, g.out_degrees()
-    top, arcs = int(deg.max()), set(g.arcs())
+    top, arcs = int(deg.max()), set(builders.arcs(g))
     ins, dels = [], []
     if kind in (0, 4):
         batch = builders.random_batch(g, rng, max_ops=6, undirected=undirected)
@@ -286,7 +302,7 @@ def test_degree_bookkeeping_equals_fresh_build(seed, undirected):
     the maximum and the arc count of a fresh build."""
     rng = random.Random(seed)
     g = builders.er_graph(40, 0.12, seed=seed, undirected=undirected)
-    arcs, moves = set(g.arcs()), set()
+    arcs, moves = set(builders.arcs(g)), set()
     for step in range(30):
         batch = bookkeeping_batch(g, rng, step % 5, undirected)
         if step == 29:
@@ -334,7 +350,7 @@ def test_splice_at_shared_and_end_positions(cutoff, monkeypatch):
     for step in (batch, EdgeBatch(batch.deletions, batch.insertions)):
         g.apply_batch(step)
         arcs = (arcs - set(step.deletions)) | set(step.insertions)
-        assert set(g.arcs()) == arcs
+        assert set(builders.arcs(g)) == arcs
         assert_same_matrix(g, Graph.from_edges(6, sorted(arcs)))
         if step is batch:
             assert builders.row(g.out_csr(), 0) == [0, 2, 3, 4, 5]
@@ -382,7 +398,7 @@ def is_symmetric_reference(insertions, deletions):
 
 def validate_batch_reference(g, insertions, deletions):
     validate_shape_reference(insertions, deletions)
-    n, present_arcs = g.node_count, set(g.arcs())
+    n, present_arcs = g.node_count, set(builders.arcs(g))
     for arcs, present, verb, why in (
             (insertions, False, "insert", "already present"),
             (deletions, True, "delete", "not present")):
@@ -436,7 +452,7 @@ def test_batch_checks_match_set_references(seed):
     rng = random.Random(seed)
     n = 7
     g = builders.er_graph(n, 0.3, seed=seed, undirected=seed % 2 == 0)
-    present = sorted(g.arcs())
+    present = sorted(builders.arcs(g))
     kinds = {"ok": 0, "error": 0, "symmetric": 0, "out of range": 0}
     for _ in range(400):
         symmetric = rng.random() < 0.5
@@ -599,10 +615,10 @@ def test_header_count_too_small():
 
 def test_roundtrip_through_dumps():
     g = builders.er_graph(12, 0.3, seed=9, undirected=False)
-    text = dumps_edge_list(g.node_count, sorted(g.arcs()))
+    text = dumps_edge_list(g.node_count, sorted(builders.arcs(g)))
     g2 = load_edge_list(io.StringIO(text))
     assert g2.node_count == g.node_count
-    assert set(g2.arcs()) == set(g.arcs())
+    assert set(builders.arcs(g2)) == set(builders.arcs(g))
 
 
 def test_dumps_edge_list_text():
@@ -667,7 +683,7 @@ def test_vectorized_loader_matches_line_parser(text, undirected):
     for source in (io.BytesIO(data), io.StringIO(text)):
         g = load_edge_list(source, undirected=undirected)
         assert g.node_count == expected.node_count
-        assert list(g.arcs()) == list(expected.arcs())
+        assert builders.arcs(g) == builders.arcs(expected)
 
 
 TOKENIZER_REJECTS = {
@@ -701,7 +717,7 @@ def test_tokenizer_hands_odd_input_to_line_parser(text):
         assert str(got.value) == str(exc)
     else:
         g = load_edge_list(io.BytesIO(data))
-        assert list(g.arcs()) == sorted(map(tuple, expected[1].tolist()))
+        assert builders.arcs(g) == sorted(map(tuple, expected[1].tolist()))
 
 
 def large_edge_list(count: int = 150_000) -> bytes:
@@ -828,7 +844,7 @@ def test_line_parser_decides_what_the_fast_path_rejects():
     assert graph._tokenize(text.encode()) is None
     g = load_edge_list(io.StringIO(text))
     assert g.node_count == 11
-    assert sorted(g.arcs()) == [(1, 2), (10, 3)]
+    assert sorted(builders.arcs(g)) == [(1, 2), (10, 3)]
 
 
 def test_parse_error_line_in_large_input():
