@@ -136,6 +136,8 @@ class KatzState:
     requested ranking; top-k checks shrink it, update_batch regrows it. A
     ranking check that finds a witness of non-convergence leaves it in
     the previous order, which need not be sorted by the current bounds.
+    A ranking sort also keeps it as `_order`, where the next one starts,
+    and sets `_sorted` until refresh_bounds; ranking_result copies it then.
     alpha is fixed at init; gamma is tail_gamma of the current graph's
     maximum out-degree, q max(levels[2]) at the last refresh (1.0 below
     r = 2). `derived_cap` is True when init derived max_iterations.
@@ -143,7 +145,8 @@ class KatzState:
 
     __slots__ = ("n", "alpha", "gamma", "q", "criterion", "undirected", "r",
                  "levels", "katz", "lower", "upper", "active", "graph_version",
-                 "max_iterations", "derived_cap", "last_update_stats")
+                 "max_iterations", "derived_cap", "last_update_stats",
+                 "_order", "_sorted")
 
     # Single-threaded; only perfbench reads this (StaticCold.traced in
     # perfbench/workloads.py), and it goes when that reader does.
@@ -169,6 +172,7 @@ class KatzState:
         self.max_iterations = max_iterations
         self.derived_cap = derived_cap
         self.last_update_stats = None
+        self._order, self._sorted = None, False
 
     @property
     def epsilon(self) -> float:
@@ -188,6 +192,7 @@ class KatzState:
         monotone. Given `rows`, and the caller's word that no other row's
         levels or partial sum changed since the last refresh, nor gamma,
         it refreshes only those, bitwise; all if q changed."""
+        self._sorted = False
         r, q = self.r, float(self.levels[2].max()) if self.r >= 2 else 1.0
         at = slice(None) if rows is None or q != self.q else rows
         self.q, level, katz = q, self.levels[r][at], self.katz[at]
@@ -340,7 +345,9 @@ def check_converged(state: KatzState) -> bool:
         bottom -= eps
         if (np.maximum(lowers[:-1], lowers[1:]) <= bottom).any():
             return False  # a witness; see above
-        state.active = descending_order(state.lower, m)
+        state.active = (descending_order(state.lower, m, presorted=True)
+                        if m is state._order else _full_order(state.lower))
+        state._order, state._sorted = state.active, True
     elif m.size > k:
         # Any k nodes bound the k-th largest lower bound from below, so
         # only nodes at or above the least of the first k can be in the
@@ -383,73 +390,67 @@ def _converge(state: KatzState, g: Graph) -> None:
 
 def ranking_result(state: KatzState) -> RankingResult:
     """Snapshot the current bounds into an immutable ranking."""
-    if _is_full_order(state.lower, state.active):
-        # Right after a converged ranking check the active set already is
-        # the full order; a copy keeps the result apart from the state.
-        order = state.active.copy()
-    else:
-        order = descending_order(state.lower, np.arange(state.n))
-    lower = state.lower.copy()
-    upper = state.upper.copy()
-    for arr in (order, lower, upper):
-        arr.setflags(write=False)
-    # Along the order the lower bounds descend: reversed, they are sorted.
-    separated = _separated_fraction(state, lower[order[::-1]])
-    return RankingResult(order=order, lower=lower, upper=upper,
-                         iterations_used=state.r, criterion=state.criterion,
-                         separated_fraction=separated)
-
-
-def _separated_fraction(state: KatzState, ascending_lower: np.ndarray) -> float:
-    """RankingResult.separated_fraction from state.lower sorted ascending."""
     if state.r < 1:
         raise StateError("ranking_result needs at least one iteration")
-    n = state.n
-    if n < 2:
-        return 1.0
-    # For each node, count lower bounds strictly above its upper bound.
-    # Merging the two sorted arrays (a stable sort of two sorted runs),
-    # the j-th smallest upper bound lands at j plus the number of lower
-    # bounds at or below it: stability puts lowers first on equal values.
-    both = np.concatenate([ascending_lower, np.sort(state.upper)])
-    merged = np.argsort(both, kind="stable")
-    not_above = int(np.flatnonzero(merged >= n).sum()) - n * (n - 1) // 2
-    return (n * n - not_above) / (n * (n - 1) // 2)
+    current = state._sorted and state._order is state.active
+    order = state.active.copy() if current else _full_order(state.lower)
+    lower, upper = state.lower.copy(), state.upper.copy()
+    for arr in (order, lower, upper):
+        arr.setflags(write=False)
+    return RankingResult(order=order, lower=lower, upper=upper,
+                         iterations_used=state.r, criterion=state.criterion,
+                         separated_fraction=_separated_fraction(state, order))
 
 
-def descending_order(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _separated_fraction(state: KatzState, order: np.ndarray) -> float:
+    """RankingResult.separated_fraction, given state.lower's full order.
+
+    It counts per node the lower bounds strictly above its upper bound. As
+    bounds are >= 0, only positive ones are merged: a zero upper bound lies
+    below all p positive lower bounds (the order's first p), a zero lower
+    bound above none. In a stable sort of both sorted runs the j-th upper
+    bound lands at j plus the lower bounds at or below it."""
+    n, p = state.n, int(np.count_nonzero(state.lower))
+    up = np.sort(state.upper)[n - np.count_nonzero(state.upper):]
+    both = np.concatenate([state.lower[order[:p][::-1]], up])
+    below = np.flatnonzero(np.argsort(both, kind="stable") >= p)
+    not_above = int(below.sum()) - up.size * (up.size - 1) // 2
+    return (n * p - not_above) / (n * (n - 1) // 2) if n > 1 else 1.0
+
+
+def _full_order(lower: np.ndarray) -> np.ndarray:
+    """descending_order of all nodes for bounds >= 0: only the positive
+    ones are sorted; the zeros, nodes without out-arcs, follow by id."""
+    return np.concatenate([descending_order(lower, np.flatnonzero(lower)),
+                           np.flatnonzero(lower == 0)])
+
+
+def descending_order(values: np.ndarray, ids: np.ndarray, *,
+                     presorted: bool = False) -> np.ndarray:
     """ids ordered by descending values[id], ties by ascending id.
 
     Equal to ids[np.lexsort((ids, -values[ids]))] for finite values (0.0
-    and -0.0 tie), in two cheaper sorts: an unstable float argsort, then
-    an int64 sort of run * n + id, where run numbers the groups of equal
-    values in order, which puts the ids inside each group in order. ids
-    must lie in [0, len(values)).
+    and -0.0 tie), in two cheaper sorts: a float argsort, then an int64
+    sort of run * n + id, where run numbers the groups of equal values in
+    order, which puts the ids inside each group in order. ids must lie in
+    [0, len(values)). `presorted` ids, in an earlier order, get a stable
+    argsort, and the int64 sort spans only the groups left out of order.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    keys = values[ids]
-    np.negative(keys, out=keys)
-    pos = np.argsort(keys)
-    keys = keys[pos]
-    run = np.zeros(ids.size, dtype=np.int64)
-    np.cumsum(keys[1:] != keys[:-1], out=run[1:])
+    keys = -values[ids]  # numpy reuses the temporary when large
+    pos = np.argsort(keys, kind="stable" if presorted else None)
+    keys, out, lo, hi = keys[pos], ids[pos], 0, ids.size
+    cut = np.concatenate([[True], keys[1:] != keys[:-1], [True]])
+    if presorted:  # [lo, hi): the groups from the first to the last bad
+        bad = np.flatnonzero(~cut[1:-1] & (out[1:] < out[:-1]))
+        if not bad.size:
+            return out
+        lo = bad[0] - np.argmax(cut[bad[0]::-1])
+        hi = bad[-1] + 2 + np.argmax(cut[bad[-1] + 2:])
+    run = np.cumsum(cut[lo:hi])  # from 1: a common offset keeps the order
     run *= values.size
-    out = ids[pos]
-    out += run
-    out.sort()
-    out -= run
+    span = out[lo:hi]  # a view: the ids are sorted in place
+    span += run
+    span.sort()
+    span -= run
     return out
-
-
-def _is_full_order(values: np.ndarray, ids: np.ndarray) -> bool:
-    """True when ids lists every one of the len(values) nodes in the order
-    descending_order gives; O(n).
-
-    Adjacent ids strictly increasing under (descending value, ascending
-    id) are distinct, so n of them from [0, n) are all the nodes.
-    """
-    if ids.size != values.size:
-        return False
-    v = values[ids]
-    hi, lo = v[:-1], v[1:]
-    return bool(np.all((hi > lo) | ((hi == lo) & (ids[:-1] < ids[1:]))))

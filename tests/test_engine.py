@@ -476,13 +476,53 @@ def test_separated_fraction_matches_quadratic_count():
 
 
 def quadratic_separated_fraction(st):
+    """Every ordered pair (v, w), v != w, with lower[w] > upper[v]."""
     n = st.n
-    brute = 0
-    for v in range(n):
-        for w in range(n):
-            if v != w and st.lower[w] > st.upper[v]:
-                brute += 1
-    return brute / (n * (n - 1) // 2)
+    above = st.lower[None, :] > st.upper[:, None]
+    np.fill_diagonal(above, False)
+    return int(above.sum()) / (n * (n - 1) // 2)
+
+
+def coin_rmat(seed: int) -> Graph:
+    """rmat 1024, each edge directed by a seeded coin: about half the
+    nodes keep no out-arc."""
+    edges = generate("rmat", 1024, seed=seed)
+    flip = np.random.default_rng(seed).random(len(edges)) < 0.5
+    return Graph.from_edges(1024, np.where(flip[:, None], edges[:, ::-1],
+                                           edges))
+
+
+@pytest.mark.parametrize("case", [
+    "star-sinks", "path-directed", "coin-rmat", "isolated", "arcless",
+    "cycle", "complete"])
+def test_ranking_result_matches_references_with_and_without_zeros(case):
+    # The first five have nodes whose bounds are both 0 (no out-arc), the
+    # zero block that ranking_result and the first ranking sort append by
+    # id; cycle and complete have none.
+    undirected = case in ("isolated", "cycle", "complete")
+    g = {"star-sinks": lambda: Graph.from_edges(
+             9, [(0, v) for v in range(1, 9)]),
+         "path-directed": lambda: Graph.from_edges(
+             12, [(i, i + 1) for i in range(11)]),
+         "coin-rmat": lambda: coin_rmat(4),
+         "isolated": lambda: Graph.from_edges(
+             20, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                  if (u * v) % 5 == 1], undirected=True),
+         "arcless": lambda: Graph.from_edges(6, []),
+         "cycle": lambda: builders.cycle(9),
+         "complete": lambda: builders.complete(7)}[case]()
+    n = g.node_count
+    zeros = int(np.count_nonzero(np.diff(g.out_csr().indptr) == 0))
+    assert (zeros > 0) == (case not in ("cycle", "complete"))
+    for crit in (Criterion.ranking(), Criterion.top_k(3), Criterion.score(),
+                 Criterion.pair(0, n - 1)):
+        st = init(g, crit, undirected=undirected)
+        res = run(st, g)
+        assert np.count_nonzero(res.lower == 0) == zeros
+        np.testing.assert_array_equal(
+            res.order, descending_order(res.lower, np.arange(n)))
+        assert res.separated_fraction == quadratic_separated_fraction(st)
+        assert type(res.separated_fraction) is float
 
 
 def test_separated_fraction_tiny_graphs():
@@ -492,11 +532,17 @@ def test_separated_fraction_tiny_graphs():
     assert ranking_result(st).separated_fraction == 1.0
 
 
-def test_ranking_result_needs_an_iteration():
+def test_ranking_result_needs_an_iteration(monkeypatch):
     g = builders.star(4)
     st = init(g, Criterion.ranking(), undirected=True)
+
+    def no_sort(values, ids, **kw):
+        raise AssertionError("sorted before the state was checked")
+
+    monkeypatch.setattr(engine, "descending_order", no_sort)
     with pytest.raises(StateError, match="at least one iteration"):
         ranking_result(st)
+    monkeypatch.undo()
     iterate_once(st, g)
     assert ranking_result(st).iterations_used == 1
 
@@ -524,6 +570,21 @@ def test_descending_order_matches_lexsort():
         got = descending_order(values, ids)
         np.testing.assert_array_equal(got, lexsort_order(values, ids))
         assert got.dtype == np.int64
+        # The re-sort path starts from an earlier order of the same ids:
+        # one by values of which some moved to another palette entry, so
+        # that ties form and split; one with every tie in descending id
+        # order; a random one.
+        earlier = values.copy()
+        moved = rng.random(n) < 0.2
+        earlier[moved] = rng.choice(palette, size=int(moved.sum()))
+        for prev in (lexsort_order(earlier, ids),
+                     ids[np.lexsort((-ids, -values[ids]))],
+                     rng.permutation(ids)):
+            kept = prev.copy()
+            got = descending_order(values, prev, presorted=True)
+            np.testing.assert_array_equal(got, lexsort_order(values, ids))
+            np.testing.assert_array_equal(prev, kept)
+            assert got.dtype == np.int64
 
 
 def test_descending_order_edge_cases():
@@ -533,6 +594,10 @@ def test_descending_order_edge_cases():
     assert descending_order(values, ids[::-1]).tolist() == [2, 0, 1, 3, 4]
     assert descending_order(values, np.array([4])).tolist() == [4]
     assert descending_order(values, np.array([], dtype=np.int64)).size == 0
+    for ids in (np.arange(5), np.arange(5)[::-1], np.array([4]),
+                np.array([], dtype=np.int64)):
+        assert descending_order(values, ids, presorted=True).tolist() == \
+            descending_order(values, ids).tolist()
     assert descending_order(np.array([7.0]), np.array([0])).tolist() == [0]
     big = np.zeros(2 ** 20)
     assert descending_order(big, np.array([2 ** 20 - 1, 3, 2 ** 20 - 2])
@@ -719,13 +784,15 @@ def test_topk_survivor_boundary():
 
 def test_ranking_sorts_once_per_check_without_witness(monkeypatch):
     # A ranking check sorts the active set exactly when the previous
-    # order holds no witness: adjacent nodes overlapping by epsilon.
+    # order holds no witness: adjacent nodes overlapping by epsilon. The
+    # first sort is from scratch and takes only the nodes with a positive
+    # lower bound; each later one re-sorts the order the last one gave.
     g = Graph.from_edges(1024, generate("rmat", 1024, seed=1), undirected=True)
     sorts = []
 
-    def spy(values, ids):
-        sorts.append(len(ids))
-        return descending_order(values, ids)
+    def spy(values, ids, **kw):
+        sorts.append((kw.get("presorted", False), len(ids)))
+        return descending_order(values, ids, **kw)
 
     monkeypatch.setattr(engine, "descending_order", spy)
     st = init(g, Criterion.ranking(1e-6), undirected=True)
@@ -738,8 +805,59 @@ def test_ranking_sorts_once_per_check_without_witness(monkeypatch):
                                ).any()))
         sorts.clear()
         done = check_converged(st)
-        assert sorts == ([] if witnessed[-1] else [1024]), st.r
+        if witnessed[-1]:
+            assert sorts == [], st.r
+        elif witnessed.count(False) == 1:
+            assert sorts == [(False, np.count_nonzero(st.lower))], st.r
+        else:
+            assert sorts == [(True, 1024)], st.r
         if done:
             break
     # a sort at r = 5, a witness in that order at r = 6, a sort at r = 7
     assert witnessed == [True] * 4 + [False, True, False]
+    assert 0 < np.count_nonzero(st.lower) < 1024
+    # The converged check's order is current: the snapshot copies it.
+    sorts.clear()
+    order = ranking_result(st).order
+    assert sorts == []
+    np.testing.assert_array_equal(order, st.active)
+
+
+# ---- carried order ----
+
+def test_carried_order_is_forgotten_after_update_batch():
+    # Deleting edge (0, 1) reorders nodes, and the first check after it
+    # passes: no resumed iteration. The check re-sorts from the order
+    # carried over from before the update.
+    edges = generate("rmat", 1024, seed=1)
+    g = Graph.from_edges(1024, edges, undirected=True)
+    st = init(g, Criterion.ranking(1e-3), undirected=True)
+    run(st, g)
+    before = st.active.copy()
+    update_batch(st, g, EdgeBatch(deletions=[(0, 1), (1, 0)]))
+    assert st.last_update_stats.resumed_iterations == 0
+    ref = descending_order(st.lower, np.arange(1024))
+    assert not np.array_equal(ref, before)
+    np.testing.assert_array_equal(st.active, ref)
+    np.testing.assert_array_equal(ranking_result(st).order, ref)
+
+
+def test_carried_order_is_forgotten_after_a_convergence_error():
+    # At the cap a check that found a witness raises, and `active` keeps
+    # the order an earlier check sorted by earlier bounds. The snapshot
+    # must sort the current ones, after an update as after a static run.
+    g = Graph.from_edges(1024, generate("rmat", 1024, seed=1), undirected=True)
+    st = init(g, Criterion.ranking(1e-6), undirected=True, max_iterations=99)
+    run(st, g)
+    st.max_iterations = st.r
+    with pytest.raises(ConvergenceError):
+        update_batch(st, g, EdgeBatch(deletions=[(0, 1), (1, 0)]))
+    assert st.last_update_stats.resumed_iterations == 0
+    g = coin_rmat(2)
+    static = init(g, Criterion.ranking(1e-9), max_iterations=9)
+    with pytest.raises(ConvergenceError):
+        run(static, g)
+    for st in (st, static):
+        ref = descending_order(st.lower, np.arange(1024))
+        assert not np.array_equal(ref, st.active)
+        np.testing.assert_array_equal(ranking_result(st).order, ref)
