@@ -133,9 +133,10 @@ class KatzState:
     ones), katz the partial sum of levels 1..r, and lower/upper the
     current certified bounds, rewritten in place by refresh_bounds.
     `active` is the ordered id array of nodes still contending for the
-    requested ranking; top-k checks shrink it, update_batch regrows it. A
-    ranking check that finds a witness of non-convergence leaves it in
-    the previous order, which need not be sorted by the current bounds.
+    requested ranking; top-k checks shrink it and put the top k first, by
+    descending_order; update_batch regrows it. A ranking check that
+    finds a witness of non-convergence leaves it in the previous order,
+    which need not be sorted by the current bounds.
     A ranking sort also keeps it as `_order`, where the next one starts,
     and sets `_sorted` until refresh_bounds; ranking_result copies it then.
     alpha is fixed at init; gamma is tail_gamma of the current graph's
@@ -321,9 +322,11 @@ def check_converged(state: KatzState) -> bool:
     `active`, so the converged iteration, the final order and the bounds
     are those of checking every iteration with the sort.
 
-    Top-k with more than k active nodes sorts the k best and drops the
-    rest whose upper bound minus eps is below the k-th lower bound; a
-    survivor means not converged. Otherwise it sorts all active nodes.
+    Top-k re-sorts, from the order the last check left them in, the
+    active nodes whose lower bound reaches the least of the first k: any
+    k bound the k-th largest from below. So the first k of `active` are
+    the top k, ties by id. It drops the rest whose upper bound minus eps
+    is below the k-th lower bound; a survivor means not converged.
     """
     if state.r < 1:
         raise StateError("check_converged needs at least one iteration")
@@ -348,21 +351,14 @@ def check_converged(state: KatzState) -> bool:
         state.active = (descending_order(state.lower, m, presorted=True)
                         if m is state._order else _full_order(state.lower))
         state._order, state._sorted = state.active, True
-    elif m.size > k:
-        # Any k nodes bound the k-th largest lower bound from below, so
-        # only nodes at or above the least of the first k can be in the
-        # top k. Partitioning just those stays cheap when many tie.
-        cand = np.flatnonzero(lowers >= lowers[:k].min())
-        top = np.zeros(m.size, dtype=bool)
-        top[cand[np.argpartition(-lowers[cand], k - 1)[:k]]] = True
-        prefix = descending_order(state.lower, m[top])
-        rest = m[~top]
+    else:
+        cand = lowers >= lowers[:k].min()
+        order = descending_order(state.lower, m[cand], presorted=True)
+        prefix, rest = order[:k], np.concatenate([order[k:], m[~cand]])
         surviving = rest[state.upper[rest] - eps >= state.lower[prefix[-1]]]
         state.active = np.concatenate([prefix, surviving])
         if surviving.size:
             return False
-    else:
-        state.active = descending_order(state.lower, m)
     a = state.active
     return bool((state.upper[a[1:]] - eps < state.lower[a[:-1]]).all())
 

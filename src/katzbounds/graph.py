@@ -29,8 +29,7 @@ import logging
 import operator
 import os
 from array import array
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -430,7 +429,7 @@ def load_edge_list(source, undirected: bool = False) -> Graph:
 
     `source` may be a path or an open text/binary stream.
     """
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
             return load_edge_list(fh, undirected=undirected)
 

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -820,3 +822,18 @@ def test_load_batches_from_path(tmp_path):
     batches = load_batches(p)
     assert len(batches) == 2
     assert batches[1].deletions == [(1, 2)]
+
+
+def dir_entry(path):
+    return next(e for e in os.scandir(path.parent) if e.name == path.name)
+
+
+@pytest.mark.parametrize("as_path", [str, os.fsencode, Path, dir_entry],
+                         ids=["str", "bytes", "Path", "DirEntry"])
+def test_both_loaders_take_every_path_type(tmp_path, as_path):
+    edges, batches = tmp_path / "g.txt", tmp_path / "b.txt"
+    edges.write_text("NODES 3\n0 2\n")
+    batches.write_text("+ 1 2\n\n- 1 2\n")
+    assert load_edge_list(as_path(edges)).has_arc(0, 2)
+    assert [b.deletions for b in load_batches(as_path(batches))] == \
+        [[], [(1, 2)]]

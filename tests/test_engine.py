@@ -311,7 +311,7 @@ def test_ranking_ties_break_by_node_id():
 
 def test_ranking_result_reorders_ties_in_a_full_active_set():
     # A topk check that drops nobody leaves the survivors behind the
-    # prefix in partition order; tied leaves must still come out by id.
+    # prefix, not in the full order; tied leaves must still come out by id.
     g = builders.star(6)
     st = init(g, Criterion.top_k(1), undirected=True)
     iterate_once(st, g)
@@ -611,23 +611,11 @@ def lexsort_check_converged(state):
         return check_converged(state)
     eps = state.epsilon
     k = state.n if kind == "ranking" else state.criterion.k
-    m = state.active
-    lowers = state.lower[m]
-    if m.size > k:
-        sel = np.argpartition(-lowers, k - 1)
-        top_pos, rest_pos = sel[:k], sel[k:]
-    else:
-        top_pos = np.arange(m.size)
-        rest_pos = np.empty(0, dtype=np.int64)
-    prefix = lexsort_order(state.lower, m[top_pos])
-    threshold = state.lower[prefix[-1]]
-    if rest_pos.size:
-        rest = m[rest_pos]
-        surviving = rest[state.upper[rest] - eps >= threshold]
-        state.active = np.concatenate([prefix, surviving])
-    else:
-        state.active = prefix
-    if state.active.size > k:
+    order = lexsort_order(state.lower, state.active)
+    prefix, rest = order[:k], order[k:]
+    surviving = rest[state.upper[rest] - eps >= state.lower[prefix[-1]]]
+    state.active = np.concatenate([prefix, surviving])
+    if surviving.size:
         return False
     return bool(np.all(state.upper[prefix[1:]] - eps
                        < state.lower[prefix[:-1]]))
@@ -669,7 +657,7 @@ def test_run_matches_lexsort_reference(undirected):
             if lexsort_check_converged(ref):
                 break
         assert res.iterations_used == ref.r
-        np.testing.assert_array_equal(st.active, ref.active)
+        assert_same_top_k(st, ref, crit.k or n)
         np.testing.assert_array_equal(
             res.order, lexsort_order(ref.lower, np.arange(n)))
         assert res.separated_fraction == lexsort_separated_fraction(ref)
@@ -710,22 +698,29 @@ def test_ranking_check_agrees_with_reference_every_iteration(case, eps):
             if done:
                 break
             assert st.r < st.max_iterations
+        # Nodes tied at the k-th lower bound whose bounds are narrower
+        # than eps drop out; the k kept are the first k the ranking lists.
+        np.testing.assert_array_equal(st.active, ranking_result(st).order[:k])
 
 
 def assert_same_top_k(st, ref, k):
-    """The first k active nodes agree in order, the survivors after them
-    as a set (the reference orders them by argpartition). Among nodes tied
-    at the k-th lower bound either side's argpartition picks which ones
-    make the first k, so those agree only in their bounds."""
-    a, b = st.active, ref.active
-    np.testing.assert_array_equal(st.lower[a[:k]], ref.lower[b[:k]])
-    kth = st.lower[a[min(k, a.size) - 1]]
+    """The first k active nodes agree in order, ties at the k-th lower
+    bound included; the survivors after them agree as a set."""
+    np.testing.assert_array_equal(st.active[:k], ref.active[:k])
+    assert set(st.active[k:].tolist()) == set(ref.active[k:].tolist())
 
-    def untied(ids):
-        return ids[st.lower[ids] != kth].tolist()
 
-    assert untied(a[:k]) == untied(b[:k])
-    assert set(untied(a[k:])) == set(untied(b[k:]))
+@pytest.mark.parametrize("k", [1, 25])
+def test_topk_ties_at_the_kth_bound_break_by_id(k):
+    # At r = 1 the 62 x 62 inner cells of the grid tie at the largest
+    # lower bound, so the top k are the k least ids among them, from 65.
+    g = builders.grid(64, 64)
+    st = init(g, Criterion.top_k(k), undirected=True)
+    iterate_once(st, g)
+    assert not check_converged(st)
+    full = lexsort_order(st.lower, np.arange(g.node_count))
+    np.testing.assert_array_equal(st.active[:k], full[:k])
+    assert st.active[0] == 65
 
 
 def witness_state(lower, upper, active, eps):
