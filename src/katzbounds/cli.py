@@ -8,6 +8,7 @@ methods), gen (write benchmark instances). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -19,8 +20,8 @@ from . import baselines, dynamic, engine
 from .errors import KatzError
 from .generate import MODELS, generate
 from .graph import Graph, dumps_edge_list, load_edge_list
-from .reports import (NODE_ROW_CAP, NodeTable, RunReport, dumps_csv,
-                      dumps_json, node_rows)
+from .reports import (NODE_ROW_CAP, NodeTable, RunReport, csv_pieces,
+                      json_pieces, node_rows)
 
 log = logging.getLogger(__name__)
 
@@ -153,15 +154,12 @@ def _node_table(args, result: engine.RankingResult) -> NodeTable:
 
 
 def _emit(args, report: RunReport, rows: NodeTable) -> None:
-    if args.out == "csv":
-        text = dumps_csv(rows)
-    else:
-        text = dumps_json(report.to_dict())
-    if args.out_file:
-        with open(args.out_file, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # The pieces come ready to write: a refused table leaves no file.
+    pieces = (csv_pieces(rows) if args.out == "csv"
+              else json_pieces(report.to_dict()))
+    with (open(args.out_file, "w") if args.out_file
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(pieces)
 
 
 def _run(args):

@@ -417,7 +417,7 @@ def _separated_fraction(state: KatzState, order: np.ndarray) -> float:
 def _full_order(lower: np.ndarray) -> np.ndarray:
     """descending_order of all nodes for bounds >= 0: only the positive
     ones are sorted; the zeros, nodes without out-arcs, follow by id."""
-    return np.concatenate([descending_order(lower, np.flatnonzero(lower)),
+    return np.concatenate([descending_order(lower, np.flatnonzero(lower != 0)),
                            np.flatnonzero(lower == 0)])
 
 

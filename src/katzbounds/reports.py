@@ -4,16 +4,17 @@ JSON output is deterministic: fields keep insertion order and floats get
 17 significant digits ("%.17g", plus ".0" where that reads as an
 integer), enough for an exact round-trip; NaN and infinities are refused.
 The per-node table is a columnar `NodeTable`, which JSON and CSV write
-with one formatter (each distinct float formatted once, each row filled
-into one template), byte for byte as the generic per-value encoder would.
+with one formatter (each distinct float formatted once, each slice of
+rows filled into one template), byte for byte as the generic per-value
+encoder would. Writers take the text in pieces, never as one string.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -42,20 +43,11 @@ class RunReport:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "command": self.command,
-            "method": self.method,
-            "parameters": self.parameters,
-            "iterations": self.iterations,
-            "wall_time_s": self.wall_time_s,
-        }
-        if self.separated_fraction is not None:
-            out["separated_fraction"] = self.separated_fraction
-        out["ranking_prefix"] = self.ranking_prefix
-        if self.nodes is not None:
-            out["nodes"] = self.nodes
-        if self.extra:
-            out.update(self.extra)
+        """The fields in order, those left None omitted, with `extra`'s
+        entries last at the top level."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        out.update(out.pop("extra"))
         return out
 
 
@@ -84,64 +76,75 @@ def node_rows(order, lower, upper, cap: int | None = NODE_ROW_CAP) -> NodeTable:
 
 # ---- serialization ----
 
+# Node rows per slice of text, about 1 MB of JSON.
+ROWS_PER_SLICE = 8192
+
+
 def dumps_json(value: Any, indent: int = 2) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
-    return _encode(value, indent, 0) + "\n"
+    return "".join(json_pieces(value, indent))
 
 
-def _encode(value: Any, indent: int, depth: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+def json_pieces(value: Any, indent: int = 2) -> Iterator[str]:
+    """dumps_json's text in pieces, node tables in slices of rows. A table
+    is checked and formatted before this returns: refused, it raises."""
+    return itertools.chain(_encode(value, indent, 0), ["\n"])
+
+
+def _encode(value: Any, indent: int, depth: int) -> Iterable[str]:
+    """value's JSON text in pieces; node tables are made ready at once."""
     if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+        return [format_float(value)]
+    if value is None or isinstance(value, (int, str)):  # bool is an int
+        return [json.dumps(value)]
     pad = " " * (indent * (depth + 1))
     close_pad = " " * (indent * depth)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_encode(v, indent, depth + 1)}"
-            for k, v in value.items())
-        return f"{{\n{items}\n{close_pad}}}"
     if isinstance(value, NodeTable) and len(value):
         # The generic encoder's layout of one row, %s for each value.
-        row = _encode(dict.fromkeys(CSV_COLUMNS, "%s"), indent, depth + 1)
-        rows = _fill_rows(value, pad + row.replace('"%s"', "%s"), ",\n")
-        return f"[\n{rows}\n{close_pad}]"
-    if isinstance(value, (list, tuple, NodeTable)):
-        if not value:
-            return "[]"
-        items = ",\n".join(
-            f"{pad}{_encode(v, indent, depth + 1)}" for v in value)
-        return f"[\n{items}\n{close_pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        row = "".join(_encode(dict.fromkeys(CSV_COLUMNS, "%s"), indent,
+                              depth + 1)).replace('"%s"', "%s")
+        return itertools.chain(["[\n"], _fill_rows(value, pad + row, ",\n"),
+                               [f"\n{close_pad}]"])
+    if isinstance(value, dict):
+        items = [(f"{json.dumps(str(k))}: ", v) for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple, NodeTable)):
+        items, brackets = [("", v) for v in value], "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    if not items:
+        return [brackets]
+    out = [[brackets[0] + "\n"]]
+    for i, (key, v) in enumerate(items):
+        out += [[",\n" * (i > 0) + pad + key], _encode(v, indent, depth + 1)]
+    return itertools.chain(*out, [f"\n{close_pad}{brackets[1]}"])
 
 
-def _fill_rows(table: NodeTable, row: str, sep: str) -> str:
-    """The rows filled into the %s-template `row`, joined by `sep`. Floats
-    come out as format_float writes them, each distinct bit pattern
-    formatted once (-0.0 stays apart from 0.0): "%.17g" lacks a point and
-    an exponent exactly for integral values below 1e17, which get ".0"."""
+def _fill_rows(table: NodeTable, row: str, sep: str) -> Iterator[str]:
+    """The rows filled into the %s-template `row` and joined by `sep`, in
+    slices of ROWS_PER_SLICE rows. Floats come out as format_float writes
+    them, each distinct bit pattern formatted once before this returns
+    (-0.0 apart from 0.0): "%.17g" lacks a point and an exponent exactly
+    for integral values below 1e17, which get ".0"."""
     values = np.concatenate([table.lower, table.upper])
     if not np.isfinite(values).all():
         format_float(values[~np.isfinite(values)][0])  # raises ValueError
-    bits = values.view(np.uint64)
-    distinct = _distinct(bits.copy())
+    distinct = _distinct(values.view(np.uint64))  # sorts values
     floats = distinct.view(np.float64)
     text = ("%.17g\n" * floats.size % tuple(floats.tolist())).split("\n")
     for i in np.flatnonzero((floats == np.trunc(floats)) &
                             (np.abs(floats) < 1e17)).tolist():
         text[i] += ".0"
-    texts = [text[i] for i in np.searchsorted(distinct, bits).tolist()]
-    k = len(table)
-    return sep.join([row] * k) % tuple(itertools.chain.from_iterable(
-        zip(table.ids.tolist(), texts[:k], texts[k:], range(1, k + 1))))
+    texts, k = np.array(text, dtype=object), len(table)
+
+    def fill(start: int) -> str:
+        stop = min(start + ROWS_PER_SLICE, k)
+        lower, upper = (texts[np.searchsorted(distinct, column[start:stop].view(
+            np.uint64))].tolist() for column in (table.lower, table.upper))
+        return (sep * (start > 0) + sep.join([row] * (stop - start))) % tuple(
+            itertools.chain.from_iterable(zip(table.ids[start:stop].tolist(),
+                lower, upper, range(start + 1, stop + 1))))
+    return map(fill, range(0, k, ROWS_PER_SLICE))
 
 
 def format_float(x: float) -> str:
@@ -158,7 +161,7 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps_csv(rows: NodeTable) -> str:
-    """Per-node CSV with the fixed column set."""
-    return ",".join(CSV_COLUMNS) + "\n" + \
-        _fill_rows(rows, "%s,%s,%s,%s\n", "")
+def csv_pieces(rows: NodeTable) -> Iterator[str]:
+    """Per-node CSV with the fixed column set, in json_pieces' slices."""
+    return itertools.chain([",".join(CSV_COLUMNS) + "\n"],
+                           _fill_rows(rows, "%s,%s,%s,%s\n", ""))

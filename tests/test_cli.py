@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
 
+from katzbounds import cli
 from katzbounds.cli import concordant_fraction, main
+from katzbounds.reports import node_rows
 
 
 @pytest.fixture
@@ -65,6 +69,34 @@ def test_static_out_file(tmp_path, capsys, tri):
     assert capsys.readouterr().out == ""
     doc = json.loads(dest.read_text())
     assert doc["command"] == "static"
+
+
+@pytest.mark.parametrize("out", ["json", "csv"])
+def test_static_writes_stdout_and_file_alike(tmp_path, capsys, out):
+    # 16,384 rows: the node table goes out in two slices
+    graph, dest = str(tmp_path / "rmat.txt"), tmp_path / f"report.{out}"
+    assert main(["gen", graph, "--model", "rmat", "--nodes", "16384"]) == 0
+    argv = ["static", graph, "--undirected", "--out", out]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out-file", str(dest)]) == 0
+    written = dest.read_text()
+    if out == "json":  # all but the run's own time
+        printed, written = (re.sub(r'\n  "wall_time_s": [^\n]*', "", text)
+                            for text in (printed, written))
+        assert "wall_time_s" not in printed
+    assert printed == written
+
+
+@pytest.mark.parametrize("out", ["json", "csv"])
+def test_refused_table_leaves_no_file(tmp_path, monkeypatch, tri, out):
+    def nan_table(args, result):
+        return node_rows(result.order, np.full(3, np.nan), result.upper)
+    monkeypatch.setattr(cli, "_node_table", nan_table)
+    dest = tmp_path / "report"
+    with pytest.raises(ValueError, match="non-finite"):
+        main(["static", tri, "--out", out, "--out-file", str(dest)])
+    assert not dest.exists()
 
 
 def test_static_topk_and_pair(capsys, starfile):

@@ -1,14 +1,17 @@
 """Report structures and the deterministic JSON/CSV emitters."""
 from __future__ import annotations
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from katzbounds.reports import (CSV_COLUMNS, NodeTable, RunReport, dumps_csv,
-                                dumps_json, format_float, node_rows)
+from katzbounds.reports import (CSV_COLUMNS, ROWS_PER_SLICE, NodeTable,
+                                RunReport, csv_pieces, dumps_json,
+                                format_float, json_pieces, node_rows)
 
 
 def test_format_float_round_trips():
@@ -56,7 +59,7 @@ def test_node_rows_cap():
 
 def test_dumps_csv_columns_and_rows():
     rows = NodeTable(np.array([4]), np.array([0.5]), np.array([0.75]))
-    text = dumps_csv(rows)
+    text = "".join(csv_pieces(rows))
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1].startswith("4,0.5,0.75,1")
@@ -117,7 +120,7 @@ def test_node_table_matches_generic_encoder():
     for text in ('"lower": 1.0,', '"lower": -0.0,', '"lower": 1e-300,'):
         assert text in fast
     assert fast == dumps_json(reps[1].to_dict())
-    assert dumps_csv(table) == csv_per_value(list(table))
+    assert "".join(csv_pieces(table)) == csv_per_value(list(table))
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e17, 1e-300, 5e-324,
@@ -143,7 +146,57 @@ def test_node_table_writer_matches_per_value_encoder(seed):
         doc = {"x": 1, "nodes": table, "after": [table]}
         generic = {"x": 1, "nodes": rows, "after": [rows]}
         assert dumps_json(doc, indent) == dumps_json(generic, indent)
-    assert dumps_csv(table) == csv_per_value(rows)
+    assert "".join(csv_pieces(table)) == csv_per_value(rows)
+
+
+@pytest.mark.parametrize("k", [0, 1, ROWS_PER_SLICE - 1, ROWS_PER_SLICE,
+                               ROWS_PER_SLICE + 1])
+def test_sliced_writer_matches_per_value_encoder(k):
+    rng = np.random.default_rng(k)
+    pool = np.concatenate([rng.random(3), SPECIAL_FLOATS])
+    # ids near 2^31, in descending order
+    table = NodeTable(np.arange(2**31 - 1, 2**31 - 1 - k, -1),
+                      rng.choice(pool, k), rng.choice(pool, k))
+    rows = list(table)
+    for indent in (2, 4):
+        sink = io.StringIO()
+        sink.writelines(json_pieces({"nodes": table, "after": [table]},
+                                    indent))
+        assert sink.getvalue() == dumps_json(
+            {"nodes": rows, "after": [rows]}, indent)
+    pieces = list(csv_pieces(table))
+    assert len(pieces) == 1 + -(-k // ROWS_PER_SLICE)
+    assert "".join(pieces) == csv_per_value(rows)
+
+
+class CountingSink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+def test_sliced_writer_holds_a_fraction_of_the_text():
+    # 2^17 rows, 4 distinct bound values: one string holding the whole
+    # report, as the writer once built, alone takes twice the limit
+    k = 2**17
+    rng = np.random.default_rng(0)
+    pool = rng.random(4)
+    table = NodeTable(rng.permutation(k), rng.choice(pool, k),
+                      rng.choice(pool, k))
+    for pieces in (lambda: json_pieces({"nodes": table}),
+                   lambda: csv_pieces(table)):
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            sink.writelines(pieces())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sink.size / 2, (peak, sink.size)
 
 
 def test_node_table_rows_read_like_a_list():
@@ -158,13 +211,15 @@ def test_node_table_rows_read_like_a_list():
     empty = node_rows(np.array([], dtype=np.int64), np.zeros(0), np.zeros(0))
     assert list(empty) == []
     assert dumps_json({"nodes": empty}) == dumps_json({"nodes": []})
-    assert dumps_csv(empty) == ",".join(CSV_COLUMNS) + "\n"
+    assert "".join(csv_pieces(empty)) == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_node_table_refuses_non_finite():
     rows = node_rows(np.array([0, 1]), np.array([0.5, math.nan]),
                      np.array([1.0, math.inf]))
-    with pytest.raises(ValueError):
-        dumps_json({"nodes": rows})
-    with pytest.raises(ValueError):
-        dumps_csv(rows)
+    # refused before the first piece is made, so nothing gets written
+    for write in (lambda: dumps_json({"nodes": rows}),
+                  lambda: json_pieces({"nodes": rows}),
+                  lambda: csv_pieces(rows)):
+        with pytest.raises(ValueError):
+            write()
