@@ -20,8 +20,7 @@ from . import baselines, dynamic, engine
 from .errors import KatzError
 from .generate import MODELS, generate
 from .graph import Graph, dumps_edge_list, load_edge_list
-from .reports import (NODE_ROW_CAP, NodeTable, RunReport, csv_pieces,
-                      json_pieces, node_rows)
+from .reports import NodeTable, RunReport, csv_pieces, json_pieces, node_rows
 
 log = logging.getLogger(__name__)
 
@@ -133,8 +132,6 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
                    help="report format (default json)")
     p.add_argument("--out-file", default=None,
                    help="write the report here instead of stdout")
-    p.add_argument("--full", action="store_true",
-                   help="emit every node row (default caps at 10^6)")
 
 
 def _criterion(args) -> engine.Criterion:
@@ -146,11 +143,6 @@ def _criterion(args) -> engine.Criterion:
     u, v = args.pair if pair else (None, None)
     return engine.Criterion(args.criterion, args.epsilon, u=u, v=v,
                             k=args.k if topk else None)
-
-
-def _node_table(args, result: engine.RankingResult) -> NodeTable:
-    return node_rows(result.order, result.lower, result.upper,
-                     cap=None if args.full else NODE_ROW_CAP)
 
 
 def _emit(args, report: RunReport, rows: NodeTable) -> None:
@@ -205,7 +197,7 @@ def _report(command: str, state: engine.KatzState,
 def cmd_static(args) -> tuple[RunReport, NodeTable]:
     _, state, result, wall = _run(args)
     report = _report("static", state, result, wall,
-                     nodes=_node_table(args, result))
+                     nodes=node_rows(result.order, result.lower, result.upper))
     return report, report.nodes
 
 
@@ -232,7 +224,7 @@ def cmd_dynamic(args) -> tuple[RunReport, NodeTable]:
     report = _report(
         "dynamic", state, final,
         initial_wall + sum(b["wall_time_s"] for b in batch_reports),
-        nodes=_node_table(args, final),
+        nodes=node_rows(final.order, final.lower, final.upper),
         extra={"initial_iterations": result.iterations_used,
                "initial_wall_time_s": initial_wall,
                "batches": batch_reports})
@@ -293,7 +285,7 @@ def cmd_compare(args) -> tuple[RunReport, NodeTable]:
         "compare", state, result,
         katz_wall + sum(e["wall_time_s"] for e in entries[1:]),
         extra={"methods": entries})
-    return report, _node_table(args, result)
+    return report, node_rows(result.order, result.lower, result.upper)
 
 
 def concordant_fraction(order_a, order_b) -> float:

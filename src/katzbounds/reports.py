@@ -2,27 +2,25 @@
 
 JSON output is deterministic: fields keep insertion order and floats get
 17 significant digits ("%.17g", plus ".0" where that reads as an
-integer), enough for an exact round-trip; NaN and infinities are refused.
-The per-node table is a columnar `NodeTable`, which JSON and CSV write
-with one formatter (each distinct float formatted once, each slice of
-rows filled into one template), byte for byte as the generic per-value
-encoder would. Writers take the text in pieces, never as one string.
+integer), enough for an exact round-trip; NaN and infinities raise
+NumericError. One function, `_float_texts`, applies that rule to scalar
+fields and node tables alike. The per-node table is a columnar
+`NodeTable`, which JSON and CSV write with one formatter (each distinct
+float formatted once, each slice of rows filled into one template), byte
+for byte as the generic per-value encoder would. Writers take the text
+in pieces, never as one string.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from .errors import NumericError
 from .graph import _distinct
-
-# Node tables beyond this many rows are truncated unless explicitly
-# requested in full.
-NODE_ROW_CAP = 10**6
 
 # The node table's columns, in row and CSV order.
 CSV_COLUMNS = ("node_id", "lower", "upper", "rank")
@@ -67,9 +65,9 @@ class NodeTable:
                 "upper": float(self.upper[i]), "rank": i % len(self) + 1}
 
 
-def node_rows(order, lower, upper, cap: int | None = NODE_ROW_CAP) -> NodeTable:
-    """The node table in rank order, optionally truncated to cap rows."""
-    ids = np.asarray(order if cap is None else order[:cap], dtype=np.int64)
+def node_rows(order, lower, upper) -> NodeTable:
+    """The node table of every node in `order`, in rank order."""
+    ids = np.asarray(order, dtype=np.int64)
     return NodeTable(ids, np.asarray(lower, dtype=np.float64)[ids],
                      np.asarray(upper, dtype=np.float64)[ids])
 
@@ -94,7 +92,7 @@ def json_pieces(value: Any, indent: int = 2) -> Iterator[str]:
 def _encode(value: Any, indent: int, depth: int) -> Iterable[str]:
     """value's JSON text in pieces; node tables are made ready at once."""
     if isinstance(value, float):
-        return [format_float(value)]
+        return _float_texts(np.array([value]))
     if value is None or isinstance(value, (int, str)):  # bool is an int
         return [json.dumps(value)]
     pad = " " * (indent * (depth + 1))
@@ -122,20 +120,12 @@ def _encode(value: Any, indent: int, depth: int) -> Iterable[str]:
 
 def _fill_rows(table: NodeTable, row: str, sep: str) -> Iterator[str]:
     """The rows filled into the %s-template `row` and joined by `sep`, in
-    slices of ROWS_PER_SLICE rows. Floats come out as format_float writes
-    them, each distinct bit pattern formatted once before this returns
-    (-0.0 apart from 0.0): "%.17g" lacks a point and an exponent exactly
-    for integral values below 1e17, which get ".0"."""
-    values = np.concatenate([table.lower, table.upper])
-    if not np.isfinite(values).all():
-        format_float(values[~np.isfinite(values)][0])  # raises ValueError
-    distinct = _distinct(values.view(np.uint64))  # sorts values
-    floats = distinct.view(np.float64)
-    text = ("%.17g\n" * floats.size % tuple(floats.tolist())).split("\n")
-    for i in np.flatnonzero((floats == np.trunc(floats)) &
-                            (np.abs(floats) < 1e17)).tolist():
-        text[i] += ".0"
-    texts, k = np.array(text, dtype=object), len(table)
+    slices of ROWS_PER_SLICE rows. Each distinct float bit pattern (-0.0
+    apart from 0.0) is formatted once, and refused, before this returns."""
+    distinct = _distinct(np.concatenate([table.lower, table.upper]).view(
+        np.uint64))
+    texts = np.array(_float_texts(distinct.view(np.float64)), dtype=object)
+    k = len(table)
 
     def fill(start: int) -> str:
         stop = min(start + ROWS_PER_SLICE, k)
@@ -147,17 +137,18 @@ def _fill_rows(table: NodeTable, row: str, sep: str) -> Iterator[str]:
     return map(fill, range(0, k, ROWS_PER_SLICE))
 
 
-def format_float(x: float) -> str:
-    """17 significant digits; always reads back as the same float.
-
-    Raises ValueError for NaN and infinities, which JSON cannot express.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot encode non-finite float {x!r}")
-    text = format(x, ".17g")
-    if "." not in text and "e" not in text:
-        text += ".0"
+def _float_texts(floats: np.ndarray) -> list[str]:
+    """Each float's text: 17 significant digits, which read back as the
+    same float. "%.17g" lacks a point and an exponent exactly for
+    integral values below 1e17, which get ".0". Raises NumericError for
+    NaN and infinities, which JSON cannot express."""
+    if not np.isfinite(floats).all():
+        bad = float(floats[~np.isfinite(floats)][0])
+        raise NumericError(f"cannot encode non-finite float {bad!r}")
+    text = ("%.17g\n" * floats.size % tuple(floats.tolist())).split("\n")[:-1]
+    for i in np.flatnonzero((floats == np.trunc(floats)) &
+                            (np.abs(floats) < 1e17)).tolist():
+        text[i] += ".0"
     return text
 
 

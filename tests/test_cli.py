@@ -89,13 +89,15 @@ def test_static_writes_stdout_and_file_alike(tmp_path, capsys, out):
 
 
 @pytest.mark.parametrize("out", ["json", "csv"])
-def test_refused_table_leaves_no_file(tmp_path, monkeypatch, tri, out):
-    def nan_table(args, result):
-        return node_rows(result.order, np.full(3, np.nan), result.upper)
-    monkeypatch.setattr(cli, "_node_table", nan_table)
+def test_refused_table_leaves_no_file(tmp_path, monkeypatch, capsys, tri,
+                                     out):
+    def nan_table(order, lower, upper):
+        return node_rows(order, np.full(3, np.nan), upper)
+    monkeypatch.setattr(cli, "node_rows", nan_table)
     dest = tmp_path / "report"
-    with pytest.raises(ValueError, match="non-finite"):
-        main(["static", tri, "--out", out, "--out-file", str(dest)])
+    assert main(["static", tri, "--out", out, "--out-file", str(dest)]) == 3
+    assert capsys.readouterr().err == \
+        "error: cannot encode non-finite float nan\n"
     assert not dest.exists()
 
 

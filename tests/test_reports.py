@@ -9,20 +9,48 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from katzbounds.errors import NumericError
 from katzbounds.reports import (CSV_COLUMNS, ROWS_PER_SLICE, NodeTable,
                                 RunReport, csv_pieces, dumps_json,
-                                format_float, json_pieces, node_rows)
+                                json_pieces, node_rows)
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e17, 1e-300, 5e-324,
+                  0.1, -1.0]
 
 
-def test_format_float_round_trips():
-    for x in (0.1, 1 / 3, 1e-300, 2.0, 1.5e16, -0.0, 123456789.123456789):
-        assert float(format_float(x)) == x
+def float_text(x: float) -> str:
+    """The float rule's reference, independent of the writer: 17
+    significant digits, plus ".0" where that reads as an integer."""
+    text = format(x, ".17g")
+    return text if "." in text or "e" in text else text + ".0"
 
 
-def test_format_float_keeps_float_shape():
-    assert format_float(2.0) == "2.0"
-    assert format_float(-0.0) == "-0.0"
-    assert "e" in format_float(1e-30) or "." in format_float(1e-30)
+# doubles from random bit patterns, so every exponent range turns up
+RANDOM_DOUBLES = [x for x in np.random.default_rng(0).integers(
+    0, 2**64, 40, dtype=np.uint64).view(np.float64).tolist()
+    if math.isfinite(x)] + np.random.default_rng(1).random(10).tolist()
+
+
+@pytest.mark.parametrize("x", SPECIAL_FLOATS + [
+    2.0, 1 / 3, 1.5e16, 1e-30, 123456789.123456789, -2.0**53 - 2]
+    + RANDOM_DOUBLES + [math.nan, math.inf, -math.inf])
+def test_float_rule_matches_its_reference(x):
+    # the scalar path and a one-row node table
+    table = NodeTable(np.array([7]), np.array([x]), np.array([x]))
+    writers = (lambda: dumps_json(x), lambda: dumps_json({"nodes": table}),
+               lambda: "".join(csv_pieces(table)))
+    if not math.isfinite(x):
+        for write in writers:
+            with pytest.raises(NumericError, match="non-finite"):
+                write()
+        return
+    text = float_text(x)
+    assert float(text) == x and text.startswith("-") == (math.copysign(1, x) < 0)
+    scalar, doc, csv = (write() for write in writers)
+    assert scalar == text + "\n"
+    assert type(json.loads(scalar)) is float  # reads back as a float
+    assert f'"lower": {text},\n      "upper": {text},' in doc
+    assert csv == f"{','.join(CSV_COLUMNS)}\n7,{text},{text},1\n"
 
 
 def test_dumps_json_is_valid_and_ordered():
@@ -47,14 +75,6 @@ def test_node_rows_ranks_start_at_one():
     rows = node_rows(order, lower, upper)
     assert rows[0] == {"node_id": 2, "lower": 0.9, "upper": 0.95, "rank": 1}
     assert rows[2]["rank"] == 3
-
-
-def test_node_rows_cap():
-    order = np.arange(100)
-    vals = np.linspace(1, 0, 100)
-    rows = node_rows(order, vals, vals, cap=10)
-    assert len(rows) == 10
-    assert rows[-1]["node_id"] == 9
 
 
 def test_dumps_csv_columns_and_rows():
@@ -87,18 +107,12 @@ def test_run_report_optional_fields_omitted():
     assert "nodes" not in d
 
 
-def test_format_float_refuses_non_finite():
-    for x in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            format_float(x)
-
-
 def csv_per_value(rows) -> str:
-    """Per-value CSV reference: format_float on each float, str on the rest."""
+    """Per-value CSV reference: float_text on each float, str on the rest."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(
-            format_float(row[c]) if isinstance(row[c], float) else str(row[c])
+            float_text(row[c]) if isinstance(row[c], float) else str(row[c])
             for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
@@ -123,10 +137,6 @@ def test_node_table_matches_generic_encoder():
     assert "".join(csv_pieces(table)) == csv_per_value(list(table))
 
 
-SPECIAL_FLOATS = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e17, 1e-300, 5e-324,
-                  0.1, -1.0]
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_node_table_writer_matches_per_value_encoder(seed):
     rng = np.random.default_rng(seed)
@@ -134,14 +144,14 @@ def test_node_table_writer_matches_per_value_encoder(seed):
     # a few distinct values, each used many times, plus the specials
     pool = np.concatenate([rng.random(int(rng.integers(1, 8))),
                            SPECIAL_FLOATS])
-    cap = [None, 0, 1, n // 2][seed % 4]
-    table = node_rows(rng.permutation(n), rng.choice(pool, n),
-                      rng.choice(pool, n), cap=cap)
+    order = rng.permutation(n)
+    cut = [n, 0, 1, n // 2][seed % 4]  # also the short and empty tables
+    table = node_rows(order[:cut], rng.choice(pool, n), rng.choice(pool, n))
     if seed % 2:  # ids near 2^31
         table = NodeTable(table.ids + (2**31 - 1 - n), table.lower,
                           table.upper)
     rows = list(table)
-    assert len(rows) == len(table) == (n if cap is None else min(cap, n))
+    assert len(rows) == len(table) == cut
     for indent in (2, 4):
         doc = {"x": 1, "nodes": table, "after": [table]}
         generic = {"x": 1, "nodes": rows, "after": [rows]}
@@ -221,5 +231,5 @@ def test_node_table_refuses_non_finite():
     for write in (lambda: dumps_json({"nodes": rows}),
                   lambda: json_pieces({"nodes": rows}),
                   lambda: csv_pieces(rows)):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             write()
