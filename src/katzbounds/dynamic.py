@@ -14,7 +14,7 @@ bounds and node order. The ball grows one shell per level while its
 rows, and on directed graphs the front's in-arcs, hold at most a quarter
 of all arcs, up to B_{s-1}: levels 1..s are one product each of its
 rows, added to their partial sums as they come, levels s+1..r whole
-products, after which every partial sum is summed again.
+products (level 1 is alpha * d_out), after which partial sums are re-summed.
 """
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (KatzState, _converge, default_iteration_cap,
-                     tail_gamma, validate_alpha)
+from .engine import (RANKING, TOPK, KatzState, _converge,
+                     default_iteration_cap, next_level, tail_gamma,
+                     validate_alpha)
 from .errors import ParameterError, ParseError, StateError
 from .graph import EdgeBatch, Graph, parse_id, text_lines
 
@@ -40,8 +41,8 @@ class UpdateStats:
     product, or None if none. `reactivated` counts the inactive nodes
     that passed check_converged's survivor test again, and
     `resumed_iterations` the iterations run after the repair, also when
-    the cap ends them. `matvecs` counts whole-matrix products, levels and
-    resumed iterations; `pushed_arcs` the ball's arcs times its levels.
+    the cap ends them. `matvecs` counts whole-matrix products: levels above
+    1 and resumed iterations; `pushed_arcs` the ball's arcs times levels.
     """
 
     visited: int = 0
@@ -119,7 +120,7 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
     s = len(shells)
     stats.level_sizes = np.cumsum([shell.size for shell in shells]).tolist()
     stats.aborted_level = s + 1 if s < state.r else None
-    stats.matvecs += state.r - s
+    stats.matvecs += state.r - max(s, 1)  # level 1 needs no product
     if s:
         rows = np.sort(np.concatenate(shells))
         sub = A[rows]
@@ -133,8 +134,7 @@ def _recompute_levels(state: KatzState, g: Graph, sources: np.ndarray,
             state.katz[rows] = katz
             return rows
     for level in range(s + 1, state.r + 1):
-        y = A @ state.levels[level - 1]
-        state.levels[level] = np.multiply(y, alpha, out=y)
+        state.levels[level] = next_level(A, state.levels, level, alpha)
     state.katz.fill(0.0)
     for level in state.levels[1:]:
         state.katz += level
@@ -148,15 +148,17 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     max out-degree that returns. Then g.apply_batch applies the batch with
     that validation (one version bump); the levels that can have changed
     are recomputed with their partial sums, and the bounds refreshed, only
-    the ball's if every level was local and neither gamma nor q moved. An
-    inactive node comes back when upper - epsilon reaches the least active
-    lower bound, check_converged's survivor test; run's own loop then
-    iterates until the stopping rule holds. Levels, partial sums and
-    bounds are bitwise those of a fresh run to the same depth. Whole passes
-    remain for the splice, the row-pointer shift, q and that scan. A
-    derived cap follows the new max out-degree, a given one stays; stats
-    land in state.last_update_stats. A batch without arcs bumps no version
-    and recomputes no level.
+    the ball's if every level was local and neither gamma nor q moved.
+    `active` drops nodes that lost their last out-arc; a ranking's takes
+    those that gained their first, a top-k's those whose upper - epsilon
+    reaches its least lower bound (check_converged's survivor test; with
+    k active nodes it floors later thresholds), or below k active nodes
+    every node with out-arcs. run's own loop then iterates until the
+    stopping rule holds. Levels, partial sums and bounds are bitwise a
+    fresh run's to the same depth. Whole passes remain for the splice,
+    the row-pointer shift, q and that scan. A derived cap follows the new
+    max out-degree, a given one stays; stats land in last_update_stats.
+    A batch without arcs bumps no version and recomputes no level.
 
     If those iterations reach the cap, run's ConvergenceError is raised
     and nothing is rolled back: the batch stays applied (one version
@@ -187,16 +189,21 @@ def update_batch(state: KatzState, g: Graph, batch: EdgeBatch) -> None:
     stats.visited = int(np.count_nonzero(affected))
 
     # Outside a ball of every changed level, only gamma and q move bounds.
+    arcless = state.lower[sources] == 0  # still the bounds before the batch
     gamma, state.gamma = state.gamma, tail_gamma(state.alpha, new_max)
     state.refresh_bounds(ball if state.gamma == gamma else None)
 
-    # Nodes left out stay out: later top-k thresholds are at least this.
-    if state.active.size < state.n:
-        back = state.upper - state.epsilon >= state.lower[state.active].min()
-        back[state.active] = False
+    # Only sources gain or lose out-arcs; see the docstring for top-k.
+    m, kind = state.active, state.criterion.kind
+    if kind == TOPK:
+        back = state.lower > 0 if m.size < state.criterion.k else \
+            state.upper - state.epsilon >= state.lower[m].min()
+        back[m] = False
         back = np.flatnonzero(back)
-        state.active = np.concatenate([state.active, back])
+        state.active = np.concatenate([m[state.lower[m] != 0], back])
         stats.reactivated = back.size
+    elif kind == RANKING and (arcless != (state.lower[sources] == 0)).any():
+        state.active = np.flatnonzero(state.lower != 0)
 
     depth = state.r
     try:

@@ -3,10 +3,12 @@
 The walk series katz(v) = sum_i alpha^i * (number of length-i walks from v)
 is accumulated one level at a time in attenuated form: level r stores
 alpha^r times the walk count, so values stay bounded for any admissible
-attenuation factor. After each level the partial sum gives a lower bound
-and a geometric tail estimate gives an upper bound; iteration stops as
-soon as the requested stopping rule holds on those bounds, which is
-usually long before the scores themselves have converged.
+attenuation factor. Level 1 takes no product: the matrix holds ones, so
+a row sums its d ones to d exactly, and level 1 is alpha * d_out bitwise.
+After each level the partial sum gives a lower bound and a geometric
+tail estimate gives an upper bound; iteration stops as soon as the
+requested stopping rule holds on those bounds, which is usually long
+before the scores themselves have converged.
 
 The upper bound adds the smaller of two tails to the partial sum after
 level r, where L_i is level i:
@@ -133,12 +135,13 @@ class KatzState:
     ones), katz the partial sum of levels 1..r, and lower/upper the
     current certified bounds, rewritten in place by refresh_bounds.
     `active` is the ordered id array of nodes still contending for the
-    requested ranking; top-k checks shrink it and put the top k first, by
-    descending_order; update_batch regrows it. A ranking check that
-    finds a witness of non-convergence leaves it in the previous order,
-    which need not be sorted by the current bounds.
-    A ranking sort also keeps it as `_order`, where the next one starts,
-    and sets `_sorted` until refresh_bounds; ranking_result copies it then.
+    requested ranking, for ranking and top-k only nodes with out-arcs;
+    top-k checks shrink it and put the top k first, by descending_order;
+    update_batch regrows it. A ranking check that finds a witness of
+    non-convergence leaves it in the previous order, which need not be
+    sorted by the current bounds. A ranking sort also keeps it as
+    `_order`, where the next one starts, and sets `_sorted` until
+    refresh_bounds; ranking_result copies it then, zeros appended.
     alpha is fixed at init; gamma is tail_gamma of the current graph's
     maximum out-degree, q max(levels[2]) at the last refresh (1.0 below
     r = 2). `derived_cap` is True when init derived max_iterations.
@@ -274,8 +277,11 @@ def init(g: Graph, criterion: Criterion, *, alpha: float | None = None,
         max_iterations = default_iteration_cap(alpha, d, criterion.epsilon)
     elif max_iterations < 1:
         raise ParameterError("max_iterations must be >= 1")
-    return KatzState(n, alpha, tail_gamma(alpha, d), criterion, undirected,
-                     g.version, int(max_iterations), derived_cap)
+    state = KatzState(n, alpha, tail_gamma(alpha, d), criterion, undirected,
+                      g.version, int(max_iterations), derived_cap)
+    if criterion.kind in (RANKING, TOPK):  # the nodes with out-arcs
+        state.active = np.flatnonzero(np.diff(g.out_csr().indptr) != 0)
+    return state
 
 
 def default_iteration_cap(alpha: float, max_out_degree: int,
@@ -297,11 +303,17 @@ def iterate_once(state: KatzState, g: Graph) -> None:
     if g.version != state.graph_version:
         raise StateError(
             "graph changed since init; static iteration would be unsound")
-    level = g.out_csr() @ state.levels[-1]
-    state.levels.append(np.multiply(level, state.alpha, out=level))
+    state.levels.append(next_level(g.out_csr(), state.levels, state.r + 1,
+                                   state.alpha))
     state.r += 1
     state.katz += state.levels[-1]
     state.refresh_bounds()
+
+
+def next_level(A, levels: list, r: int, alpha: float) -> np.ndarray:
+    """Level r, alpha * A @ levels[r - 1]; level 1 is alpha * d_out."""
+    y = A @ levels[r - 1] if r > 1 else np.diff(A.indptr).astype(np.float64)
+    return np.multiply(y, alpha, out=y)
 
 
 def check_converged(state: KatzState) -> bool:
@@ -327,6 +339,9 @@ def check_converged(state: KatzState) -> bool:
     k bound the k-th largest from below. So the first k of `active` are
     the top k, ties by id. It drops the rest whose upper bound minus eps
     is below the k-th lower bound; a survivor means not converged.
+    Nodes without out-arcs are not in `active`: from level 1 both their
+    bounds are 0, so with eps > 0 they pass every test and rank last, by
+    id. Top-k with k above the p active nodes checks those p alone.
     """
     if state.r < 1:
         raise StateError("check_converged needs at least one iteration")
@@ -341,21 +356,21 @@ def check_converged(state: KatzState) -> bool:
 
     m = state.active
     lowers = state.lower[m]
-    k = state.criterion.k
+    k = state.criterion.k  # may exceed the p active nodes, and p be 0
     if kind == RANKING:
         uppers = state.upper[m]
         bottom = np.minimum(uppers[:-1], uppers[1:])
         bottom -= eps
         if (np.maximum(lowers[:-1], lowers[1:]) <= bottom).any():
             return False  # a witness; see above
-        state.active = (descending_order(state.lower, m, presorted=True)
-                        if m is state._order else _full_order(state.lower))
+        state.active = descending_order(state.lower, m,
+                                        presorted=m is state._order)
         state._order, state._sorted = state.active, True
     else:
-        cand = lowers >= lowers[:k].min()
+        cand = lowers >= lowers[:k].min(initial=np.inf)
         order = descending_order(state.lower, m[cand], presorted=True)
         prefix, rest = order[:k], np.concatenate([order[k:], m[~cand]])
-        surviving = rest[state.upper[rest] - eps >= state.lower[prefix[-1]]]
+        surviving = rest[state.upper[rest] - eps >= state.lower[prefix[-1:]]]
         state.active = np.concatenate([prefix, surviving])
         if surviving.size:
             return False
@@ -389,7 +404,9 @@ def ranking_result(state: KatzState) -> RankingResult:
     if state.r < 1:
         raise StateError("ranking_result needs at least one iteration")
     current = state._sorted and state._order is state.active
-    order = state.active.copy() if current else _full_order(state.lower)
+    head = state.active if current else descending_order(
+        state.lower, np.flatnonzero(state.lower != 0))
+    order = np.concatenate([head, np.flatnonzero(state.lower == 0)])
     lower, upper = state.lower.copy(), state.upper.copy()
     for arr in (order, lower, upper):
         arr.setflags(write=False)
@@ -412,13 +429,6 @@ def _separated_fraction(state: KatzState, order: np.ndarray) -> float:
     below = np.flatnonzero(np.argsort(both, kind="stable") >= p)
     not_above = int(below.sum()) - up.size * (up.size - 1) // 2
     return (n * p - not_above) / (n * (n - 1) // 2) if n > 1 else 1.0
-
-
-def _full_order(lower: np.ndarray) -> np.ndarray:
-    """descending_order of all nodes for bounds >= 0: only the positive
-    ones are sorted; the zeros, nodes without out-arcs, follow by id."""
-    return np.concatenate([descending_order(lower, np.flatnonzero(lower != 0)),
-                           np.flatnonzero(lower == 0)])
 
 
 def descending_order(values: np.ndarray, ids: np.ndarray, *,

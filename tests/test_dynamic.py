@@ -93,7 +93,9 @@ def test_update_rounds_bitwise_equal_fresh(kind, share, monkeypatch):
                 degree = g.out_degrees()
                 arcs = sum(degree[v] for v in balls[-1]) if s else 0
                 assert stats.pushed_arcs == arcs * s
-                assert stats.matvecs == depth - s + stats.resumed_iterations
+                # level 1 of a whole recompute is alpha * d_out, no product
+                assert stats.matvecs == \
+                    depth - max(s, 1) + stats.resumed_iterations
             fresh = fresh_to_depth(g, st)
             assert_state_matches(st, fresh)
             assert ranking_result(st).top(25) == ranking_result(fresh).top(25)
@@ -673,7 +675,8 @@ def test_full_recompute_pushes_no_arcs(monkeypatch):
     update_batch(st, g, EdgeBatch(insertions=[(0, 14), (14, 0)]))
     stats = st.last_update_stats
     assert stats.pushed_arcs == 0
-    assert stats.matvecs == depth + stats.resumed_iterations
+    # level 1 is alpha * d_out: no product
+    assert stats.matvecs == depth - 1 + stats.resumed_iterations
 
 
 def test_local_update_on_path_costs_no_level_matvec():
@@ -740,7 +743,7 @@ def check_local_levels(make, batch: EdgeBatch, alpha, directed: bool):
     balls = reverse_bfs_balls(make(), batch, s + 1)
     assert stats.level_sizes == [len(ball) for ball in balls[:s]]
     assert stats.aborted_level == (None if s == depth else s + 1)
-    assert stats.matvecs == depth - s + stats.resumed_iterations
+    assert stats.matvecs == depth - max(s, 1) + stats.resumed_iterations
     degree = g.out_degrees()
     arcs = [sum(degree[v] for v in ball) for ball in balls]
     assert stats.pushed_arcs == (arcs[s - 1] * s if s else 0)
@@ -837,3 +840,97 @@ def test_both_loaders_take_every_path_type(tmp_path, as_path):
     assert load_edge_list(as_path(edges)).has_arc(0, 2)
     assert [b.deletions for b in load_batches(as_path(batches))] == \
         [[], [(1, 2)]]
+
+
+# ---- level 1 and the zero block ----
+
+@pytest.mark.parametrize("model", ["complete", "star", "path", "grid", "rmat"])
+@pytest.mark.parametrize("undirected", [True, False])
+def test_level_one_is_the_product_with_ones(model, undirected, monkeypatch):
+    # The matrix holds ones, so a row's product with all ones sums its d
+    # ones to d exactly: level 1, taken as alpha * d_out, is bitwise the
+    # product's, before and after batches that change degrees, in a fresh
+    # run and in an update that recomputes every level whole.
+    n = 64 if model == "complete" else 1024
+    edges = generate(model, n, seed=5)
+    if not undirected:
+        flip = np.random.default_rng(5).random(len(edges)) < 0.5
+        edges = np.where(flip[:, None], edges[:, ::-1], edges)
+    g = Graph.from_edges(n, edges, undirected=undirected)
+    st = init(g, Criterion.score(1e-6), alpha=0.5 / n, undirected=undirected)
+    run(st, g)
+    monkeypatch.setattr(dynamic, "LARGE_FRONTIER_SHARE", 0.0)
+    rng = random.Random(5)
+    for _ in range(4):
+        product = g.out_csr() @ np.ones(n)
+        np.testing.assert_array_equal(st.levels[1], product * st.alpha)
+        fresh = fresh_to_depth(g, st)
+        np.testing.assert_array_equal(fresh.levels[1], product * st.alpha)
+        degrees = g.out_degrees()
+        update_batch(st, g, builders.random_batch(g, rng, max_ops=20,
+                                                  undirected=undirected))
+        assert st.last_update_stats.aborted_level == 1
+        assert not np.array_equal(g.out_degrees(), degrees)
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_ranking_session_moves_nodes_across_the_zero_block(undirected):
+    # Node u loses its only out-arc and joins the zero block; node w, which
+    # had none, gains one and leaves it; then both are undone in one
+    # batch. After each batch the state is bitwise a fresh run's to the
+    # same depth, `active` included: the nodes with out-arcs in the order
+    # of the converged check.
+    g = builders.er_graph(40, 0.06, seed=8, undirected=undirected)
+    degrees = g.out_degrees()
+    u = next(u for u in np.flatnonzero(degrees == 1).tolist()
+             if degrees[builders.row(g.out_csr(), u)[0]] > 1)
+    v = builders.row(g.out_csr(), u)[0]
+    w = int(np.flatnonzero(degrees == 0)[0])
+    x = next(x for x in np.flatnonzero(degrees == 1).tolist() if x != u)
+    def both(arcs):
+        return arcs + [(b, a) for a, b in arcs] if undirected else arcs
+
+    zeros = set(np.flatnonzero(degrees == 0).tolist())
+    st = init(g, Criterion.ranking(1e-9), undirected=undirected)
+    run(st, g)
+    for batch, block in ((EdgeBatch(deletions=both([(u, v)])), zeros | {u}),
+                         (EdgeBatch(insertions=both([(w, x)])),
+                          zeros - {w} | {u}),
+                         (EdgeBatch(insertions=both([(u, v)]),
+                                    deletions=both([(w, x)])), zeros)):
+        update_batch(st, g, batch)
+        assert set(np.flatnonzero(st.lower == 0).tolist()) == block
+        assert not np.any(st.upper[sorted(block)])
+        fresh = fresh_to_depth(g, st)
+        assert_state_matches(st, fresh)
+        assert check_converged(fresh)
+        np.testing.assert_array_equal(st.active, fresh.active)
+        positive = np.flatnonzero(st.lower)
+        np.testing.assert_array_equal(st.active, positive[np.argsort(
+            -st.lower[positive], kind="stable")])
+        np.testing.assert_array_equal(ranking_result(st).order,
+                                      ranking_result(fresh).order)
+
+
+def test_topk_below_k_positive_nodes_takes_in_every_new_one():
+    # Top 3 of a directed star: only hub 0 has out-arcs (p = 1 < k), and
+    # level 1 certifies it. Node 2 gains an out-arc; below k active nodes
+    # every node with out-arcs is in play, so node 2 joins `active`, and
+    # its interval at level 1, [1/6, 1], overlaps the hub's lower bound
+    # 5/6: the update iterates to level 2, as a fresh run does.
+    g = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
+    st = init(g, Criterion.top_k(3))
+    run(st, g)
+    assert (st.r, st.active.tolist()) == (1, [0])
+    update_batch(st, g, EdgeBatch(insertions=[(2, 3)]))
+    assert st.last_update_stats.reactivated == 1
+    assert (st.r, st.active.tolist()) == (2, [0, 2])
+    fresh = init(g, Criterion.top_k(3))
+    assert run(fresh, g).iterations_used == 2
+    assert fresh.active.tolist() == [0, 2]
+    assert ranking_result(st).top(3) == ranking_result(fresh).top(3)
+    assert ranking_result(st).top(3) == [0, 2, 1]
+    # Without its arc node 2 rejoins the zero block and leaves `active`.
+    update_batch(st, g, EdgeBatch(deletions=[(2, 3)]))
+    assert st.active.tolist() == [0]
+    assert ranking_result(st).top(3) == [0, 1, 2]

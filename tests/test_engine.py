@@ -651,7 +651,7 @@ def test_run_matches_lexsort_reference(undirected):
                  Criterion.pair(int(edges[0][0]), n - 1), Criterion.score()):
         st = init(g, crit, undirected=undirected)
         res = run(st, g)
-        ref = init(g, crit, undirected=undirected)
+        ref = every_node_reference(g, crit, undirected)
         while True:
             iterate_once(ref, g)
             if lexsort_check_converged(ref):
@@ -675,7 +675,7 @@ def test_ranking_check_agrees_with_reference_every_iteration(case, eps):
     else:
         g = builders.grid(64, 64) if case == "grid" else builders.star(200)
     st = init(g, Criterion.ranking(eps), undirected=undirected)
-    ref = init(g, Criterion.ranking(eps), undirected=undirected)
+    ref = every_node_reference(g, Criterion.ranking(eps), undirected)
     while True:
         iterate_once(st, g)
         iterate_once(ref, g)
@@ -684,11 +684,12 @@ def test_ranking_check_agrees_with_reference_every_iteration(case, eps):
         if done:
             break
         assert st.r < st.max_iterations
-    np.testing.assert_array_equal(st.active, ref.active)
+    np.testing.assert_array_equal(with_zero_block(st, g.node_count),
+                                  ref.active)
     # Top-k; k = n sorts all active nodes from the first check on.
     for k in (1, 25, g.node_count):
         st = init(g, Criterion.top_k(k, eps), undirected=undirected)
-        ref = init(g, Criterion.top_k(k, eps), undirected=undirected)
+        ref = every_node_reference(g, Criterion.top_k(k, eps), undirected)
         while True:
             iterate_once(st, g)
             iterate_once(ref, g)
@@ -700,14 +701,32 @@ def test_ranking_check_agrees_with_reference_every_iteration(case, eps):
             assert st.r < st.max_iterations
         # Nodes tied at the k-th lower bound whose bounds are narrower
         # than eps drop out; the k kept are the first k the ranking lists.
-        np.testing.assert_array_equal(st.active, ranking_result(st).order[:k])
+        np.testing.assert_array_equal(with_zero_block(st, k),
+                                      ranking_result(st).order[:k])
+
+
+def every_node_reference(g, crit, undirected):
+    """A state for lexsort_check_converged whose checks see every node,
+    those without out-arcs too, which init leaves out of `active`."""
+    ref = init(g, crit, undirected=undirected)
+    ref.active = np.arange(g.node_count)
+    return ref
+
+
+def with_zero_block(st, k):
+    """st.active, then as many nodes without out-arcs, by id, as a top k
+    needs beyond it: what a check that sees every node keeps."""
+    zeros = np.flatnonzero(st.lower == 0)[:max(k - st.active.size, 0)]
+    return np.concatenate([st.active, zeros])
 
 
 def assert_same_top_k(st, ref, k):
     """The first k active nodes agree in order, ties at the k-th lower
-    bound included; the survivors after them agree as a set."""
-    np.testing.assert_array_equal(st.active[:k], ref.active[:k])
-    assert set(st.active[k:].tolist()) == set(ref.active[k:].tolist())
+    bound included, the zero block filling a top k beyond st.active; the
+    survivors after them agree as a set."""
+    mine = with_zero_block(st, k)
+    np.testing.assert_array_equal(mine[:k], ref.active[:k])
+    assert set(mine[k:].tolist()) == set(ref.active[k:].tolist())
 
 
 @pytest.mark.parametrize("k", [1, 25])
@@ -764,8 +783,9 @@ def test_ranking_witness_boundary():
 
 def test_topk_survivor_boundary():
     # Dyadic values again. Node 1's upper bound minus eps reaches node 0's
-    # lower bound exactly, so it may still be in the top 1 and stays.
-    g = Graph.from_edges(2, [])
+    # lower bound exactly, so it may still be in the top 1 and stays. Both
+    # nodes have an out-arc, so both start in `active`.
+    g = Graph.from_edges(2, [(0, 1), (1, 0)])
     st = init(g, Criterion.top_k(1, 0.25))
     iterate_once(st, g)
     st.lower[:], st.upper[:] = [0.5, 0.25], [1.0, 0.75]
@@ -779,9 +799,10 @@ def test_topk_survivor_boundary():
 
 def test_ranking_sorts_once_per_check_without_witness(monkeypatch):
     # A ranking check sorts the active set exactly when the previous
-    # order holds no witness: adjacent nodes overlapping by epsilon. The
-    # first sort is from scratch and takes only the nodes with a positive
-    # lower bound; each later one re-sorts the order the last one gave.
+    # order holds no witness: adjacent nodes overlapping by epsilon. It
+    # sorts only the nodes with a positive lower bound, which init put in
+    # `active`: the first sort from scratch, each later one re-sorting the
+    # order the last one gave.
     g = Graph.from_edges(1024, generate("rmat", 1024, seed=1), undirected=True)
     sorts = []
 
@@ -805,7 +826,7 @@ def test_ranking_sorts_once_per_check_without_witness(monkeypatch):
         elif witnessed.count(False) == 1:
             assert sorts == [(False, np.count_nonzero(st.lower))], st.r
         else:
-            assert sorts == [(True, 1024)], st.r
+            assert sorts == [(True, np.count_nonzero(st.lower))], st.r
         if done:
             break
     # a sort at r = 5, a witness in that order at r = 6, a sort at r = 7
@@ -815,7 +836,7 @@ def test_ranking_sorts_once_per_check_without_witness(monkeypatch):
     sorts.clear()
     order = ranking_result(st).order
     assert sorts == []
-    np.testing.assert_array_equal(order, st.active)
+    np.testing.assert_array_equal(order, with_zero_block(st, 1024))
 
 
 # ---- carried order ----
@@ -828,12 +849,12 @@ def test_carried_order_is_forgotten_after_update_batch():
     g = Graph.from_edges(1024, edges, undirected=True)
     st = init(g, Criterion.ranking(1e-3), undirected=True)
     run(st, g)
-    before = st.active.copy()
+    before = with_zero_block(st, 1024)
     update_batch(st, g, EdgeBatch(deletions=[(0, 1), (1, 0)]))
     assert st.last_update_stats.resumed_iterations == 0
     ref = descending_order(st.lower, np.arange(1024))
     assert not np.array_equal(ref, before)
-    np.testing.assert_array_equal(st.active, ref)
+    np.testing.assert_array_equal(with_zero_block(st, 1024), ref)
     np.testing.assert_array_equal(ranking_result(st).order, ref)
 
 
@@ -854,5 +875,36 @@ def test_carried_order_is_forgotten_after_a_convergence_error():
         run(static, g)
     for st in (st, static):
         ref = descending_order(st.lower, np.arange(1024))
-        assert not np.array_equal(ref, st.active)
+        assert not np.array_equal(ref, with_zero_block(st, 1024))
         np.testing.assert_array_equal(ranking_result(st).order, ref)
+
+
+# ---- the zero block ----
+
+@pytest.mark.parametrize("case", ["edgeless", "star-sinks"])
+def test_every_criterion_on_graphs_with_few_out_arcs(case):
+    # Edgeless, no node has an out-arc (p = 0); in the directed star only
+    # hub 0 has (p = 1). Ranking and top-k states hold just those p nodes
+    # in `active`; a top k above p lists them, then the first k - p zeros
+    # by id.
+    n = 6
+    hub = case == "star-sinks"
+    g = Graph.from_edges(n, [(0, v) for v in range(1, n)] if hub else [])
+    alpha = default_alpha(g)
+    for crit in (Criterion.ranking(), Criterion.top_k(1), Criterion.top_k(3),
+                 Criterion.top_k(n), Criterion.score(), Criterion.pair(0, 5),
+                 Criterion.pair(4, 2)):
+        st = init(g, crit)
+        ranked = crit.kind in ("ranking", "topk")
+        assert st.active.tolist() == ([0] * hub if ranked else list(range(n)))
+        res = run(st, g)
+        # Only the hub's score interval needs level 2, where it closes.
+        level_two = hub and crit.kind == "score"
+        assert res.iterations_used == (2 if level_two else 1)
+        assert res.order.tolist() == list(range(n))
+        assert res.lower.tolist() == [alpha * 5 * hub] + [0.0] * (n - 1)
+        assert res.upper[1:].tolist() == [0.0] * (n - 1)
+        assert res.separated_fraction == quadratic_separated_fraction(st)
+        if crit.kind == "topk":
+            assert res.top(crit.k) == list(range(crit.k))
+            assert st.active.tolist() == [0] * hub
